@@ -27,6 +27,8 @@ CLAUSE_KEYS = (
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
+_DECODER = json.JSONDecoder()
+
 FORMAT_REMINDER = (
     "Your previous reply could not be parsed. Reply again following the "
     "required output format exactly, with no extra commentary."
@@ -151,44 +153,15 @@ def extract_structured_payload(text: str) -> str:
         candidates.append(block.strip())
     candidates.append(text)
     for candidate in candidates:
-        payload = _scan_balanced(candidate)
-        if payload is not None:
-            return payload
+        for opener in "{[":
+            start = candidate.find(opener)
+            while start != -1:
+                try:
+                    _, end = _DECODER.raw_decode(candidate, start)
+                    return candidate[start:end]
+                except json.JSONDecodeError:
+                    start = candidate.find(opener, start + 1)
     raise ExtractionError("no balanced JSON payload found")
-
-
-def _scan_balanced(text: str):
-    for opener, closer in (("{", "}"), ("[", "]")):
-        start = text.find(opener)
-        while start != -1:
-            depth = 0
-            in_string = False
-            escaped = False
-            for i in range(start, len(text)):
-                ch = text[i]
-                if in_string:
-                    if escaped:
-                        escaped = False
-                    elif ch == "\\":
-                        escaped = True
-                    elif ch == '"':
-                        in_string = False
-                    continue
-                if ch == '"':
-                    in_string = True
-                elif ch == opener:
-                    depth += 1
-                elif ch == closer:
-                    depth -= 1
-                    if depth == 0:
-                        payload = text[start:i + 1]
-                        try:
-                            json.loads(payload)
-                        except json.JSONDecodeError:
-                            break
-                        return payload
-            start = text.find(opener, start + 1)
-    return None
 
 
 def looks_like_sql_statement(step: str) -> bool:
@@ -291,8 +264,7 @@ def run_schema_linking(question, schema, gateway, trace, templates) -> LinkedSch
     )
 
 
-def run_subproblem(question, linked, gateway, trace, templates,
-                   parent_schema=None) -> SubproblemSet:
+def run_subproblem(question, schema_text, gateway, trace, templates) -> SubproblemSet:
     """Decompose the question into clause-level subproblems."""
     canonical = {k: k for k in CLAUSE_KEYS}
 
@@ -313,17 +285,14 @@ def run_subproblem(question, linked, gateway, trace, templates,
 
     return _call(
         gateway, trace, templates["subproblem"],
-        {
-            "question": question,
-            "schema": render_schema_text(linked, parent=parent_schema),
-        },
+        {"question": question, "schema": schema_text},
         parse,
         'reply with a JSON object mapping clause keywords to expressions, e.g. {"SELECT": "count(*)"}',
     )
 
 
-def run_query_plan(question, linked, subproblems, gateway, trace, templates,
-                   parent_schema=None) -> QueryPlan:
+def run_query_plan(question, schema_text, subproblems, gateway, trace,
+                   templates) -> QueryPlan:
     """Generate the step-by-step plan; steps containing complete SQL are
     rejected and re-asked once with the restriction restated."""
 
@@ -344,7 +313,7 @@ def run_query_plan(question, linked, subproblems, gateway, trace, templates,
         gateway, trace, templates["query_plan"],
         {
             "question": question,
-            "schema": render_schema_text(linked, parent=parent_schema),
+            "schema": schema_text,
             "subproblems": subproblems.render(),
         },
         parse,
@@ -374,27 +343,26 @@ def _parse_steps(content: str):
     return steps, " ".join(prose)
 
 
+def _parse_raw_sql(content):
+    if not content.strip():
+        raise ValueError("empty response")
+    return content
+
+
 def run_sql(question, plan_text, gateway, trace, templates,
             schema_text="") -> str:
     """Generate raw SQL text; handed to the sanitizer, never executed
     verbatim."""
-
-    def parse(content):
-        if not content.strip():
-            raise ValueError("empty response")
-        return content
-
     return _call(
         gateway, trace, templates["sql"],
         {"question": question, "plan": plan_text, "schema": schema_text},
-        parse,
+        _parse_raw_sql,
         "reply with the SQL query",
     )
 
 
-def run_correction_plan(question, linked, failed_sql, exec_feedback,
-                        taxonomy, gateway, trace, templates,
-                        parent_schema=None) -> CorrectionPlan:
+def run_correction_plan(question, schema_text, failed_sql, exec_feedback,
+                        taxonomy, gateway, trace, templates) -> CorrectionPlan:
     """Diagnose the failed query against the error taxonomy and produce
     coded repair steps."""
     if not failed_sql.strip() or not exec_feedback.strip():
@@ -413,7 +381,7 @@ def run_correction_plan(question, linked, failed_sql, exec_feedback,
         gateway, trace, templates["correction_plan"],
         {
             "question": question,
-            "schema": render_schema_text(linked, parent=parent_schema),
+            "schema": schema_text,
             "failed_sql": failed_sql,
             "exec_feedback": exec_feedback,
             "taxonomy": taxonomy_mod.render_summary(taxonomy),
@@ -423,24 +391,18 @@ def run_correction_plan(question, linked, failed_sql, exec_feedback,
     )
 
 
-def run_correction_sql(question, linked, correction_plan, failed_sql,
-                       gateway, trace, templates, parent_schema=None) -> str:
+def run_correction_sql(question, schema_text, correction_plan, failed_sql,
+                       gateway, trace, templates) -> str:
     """Regenerate the SQL following the repair plan; raw text for the
     sanitizer."""
-
-    def parse(content):
-        if not content.strip():
-            raise ValueError("empty response")
-        return content
-
     return _call(
         gateway, trace, templates["correction_sql"],
         {
             "question": question,
-            "schema": render_schema_text(linked, parent=parent_schema),
+            "schema": schema_text,
             "correction_plan": correction_plan.render(),
             "failed_sql": failed_sql,
         },
-        parse,
+        _parse_raw_sql,
         "reply with the corrected SQL query",
     )

@@ -76,7 +76,8 @@ def _build_backend(spec: dict):
     raise CliError(f"unknown backend type {kind!r}", EXIT_USAGE)
 
 
-def build_gateway(config: dict, model_flag=None, cache_dir_flag=None) -> Gateway:
+def build_gateway(config: dict, model_flag=None, cache_dir_flag=None,
+                  max_in_flight=1) -> Gateway:
     backends = {
         name: _build_backend(spec)
         for name, spec in (config.get("backends") or {}).items()
@@ -107,16 +108,16 @@ def build_gateway(config: dict, model_flag=None, cache_dir_flag=None) -> Gateway
         route=route,
         temperature=float(pipeline_cfg.get("temperature", 0.0)),
         max_output_tokens=int(pipeline_cfg.get("max_output_tokens", 4096)),
-        max_in_flight=int(config.get("max_in_flight", 4)),
+        max_in_flight=max_in_flight,
     )
 
 
 def build_pipeline_config(config: dict, args) -> PipelineConfig:
     pipeline_cfg = dict(config.get("pipeline") or {})
-    templates = None
+    overrides = {}
     templates_dir = getattr(args, "templates_dir", None) or config.get("templates_dir")
     if templates_dir:
-        templates = agents.load_templates(templates_dir)
+        overrides["templates"] = agents.load_templates(templates_dir)
     return PipelineConfig(
         max_correction_attempts=(
             args.max_corrections
@@ -129,8 +130,8 @@ def build_pipeline_config(config: dict, args) -> PipelineConfig:
         or bool(pipeline_cfg.get("skip_correction", False)),
         correction_trigger=pipeline_cfg.get("correction_trigger", "gold_mismatch"),
         timeout=float(pipeline_cfg.get("timeout", 30.0)),
-        templates=templates,
         sql_agent_sees_schema=bool(pipeline_cfg.get("sql_agent_sees_schema", False)),
+        **overrides,
     )
 
 
@@ -173,6 +174,9 @@ def cmd_ask(args) -> int:
     if result.trace.status == "stage_error":
         print("stage error: " + "; ".join(result.trace.warnings), file=sys.stderr)
         return EXIT_STAGE_ERRORS
+    if result.final_sql is None:
+        print("no executable SQL: " + result.trace.attempts[-1].message, file=sys.stderr)
+        return EXIT_STAGE_ERRORS
     print(result.final_sql.text)
     print(f"attempts: {len(result.trace.attempts)}", file=sys.stderr)
     if args.gold is not None:
@@ -194,7 +198,8 @@ def cmd_eval(args) -> int:
     except (OSError, SchemaError, evalkit.DatasetError) as exc:
         raise CliError(str(exc), EXIT_DATA) from exc
 
-    gateway = build_gateway(config, model_flag=args.model, cache_dir_flag=args.cache_dir)
+    gateway = build_gateway(config, model_flag=args.model, cache_dir_flag=args.cache_dir,
+                            max_in_flight=max(1, args.parallelism))
     pipeline_config = build_pipeline_config(config, args)
     prices = config.get("prices") or {}
 

@@ -185,14 +185,27 @@ def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices) -> Samp
 
 
 def _read_checkpoint(path) -> dict:
+    """Checkpointed rows by index. A line that is not valid JSON, such as the
+    torn tail a kill mid-write leaves, is skipped so its sample runs again;
+    the file is then ended with a newline so the next row starts its own
+    line."""
     rows = {}
-    if path and os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
+    if not (path and os.path.exists(path)):
+        return rows
+    line = "\n"
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 data = json.loads(line)
-                rows[data["index"]] = SampleRow(**data)  # last write wins
+            except json.JSONDecodeError:
+                logger.warning("checkpoint %s: skipping unreadable line %d", path, number)
+                continue
+            rows[data["index"]] = SampleRow(**data)  # last write wins
+    if not line.endswith("\n"):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n")
     return rows
 
 
@@ -224,12 +237,8 @@ def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
         return row
 
     rows = list(done.values())
-    if pending:
-        if parallelism <= 1:
-            rows.extend(work(s) for s in pending)
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                rows.extend(pool.map(work, pending))
+    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        rows.extend(pool.map(work, pending))
 
     wanted = {s.index for s in samples}
     rows = sorted((r for r in rows if r.index in wanted), key=lambda r: r.index)

@@ -40,6 +40,7 @@ class ExecutionOutcome:
 
 
 _STATEMENT_START = re.compile(r"\b(SELECT|WITH|VALUES)\b", re.IGNORECASE)
+_ORDER_BY = re.compile(r"ORDER\s+BY\b")
 _FENCE = re.compile(r"```[ \t]*(?:sql|sqlite|SQL)?\s*\n?(.*?)```", re.DOTALL)
 
 # deliberately excludes words common in English prose (is, in, on, and, or)
@@ -57,16 +58,30 @@ def _line_is_prose(line: str) -> bool:
     return not any(w.lower() in _SQL_TOKENS for w in words)
 
 
+def _outside_literals(text: str):
+    """Yield (index, char, paren depth) for every character outside a '...'
+    or "..." literal; the quote characters themselves are not yielded."""
+    quote = None
+    depth = 0
+    for i, ch in enumerate(text):
+        if quote:
+            if ch == quote:
+                quote = None
+        elif ch in "'\"":
+            quote = ch
+        else:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth = max(0, depth - 1)
+            yield i, ch, depth
+
+
 def _cut_at_statement_end(text: str) -> tuple:
     """Return (statement, had_semicolon) up to the first semicolon that is
     outside any string literal."""
-    in_single = in_double = False
-    for i, ch in enumerate(text):
-        if ch == "'" and not in_double:
-            in_single = not in_single
-        elif ch == '"' and not in_single:
-            in_double = not in_double
-        elif ch == ";" and not in_single and not in_double:
+    for i, ch, _ in _outside_literals(text):
+        if ch == ";":
             return text[:i], True
     return text, False
 
@@ -161,27 +176,11 @@ def execute(db_file, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutcome
 def has_top_level_order_by(query: SqlQuery) -> bool:
     """True iff ORDER BY appears at the outermost statement level, outside
     subqueries, parenthesized set-operands, and string literals."""
-    text = query.text
-    depth = 0
-    in_single = in_double = False
-    i = 0
-    upper = text.upper()
-    while i < len(text):
-        ch = text[i]
-        if ch == "'" and not in_double:
-            in_single = not in_single
-        elif ch == '"' and not in_single:
-            in_double = not in_double
-        elif not in_single and not in_double:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth = max(0, depth - 1)
-            elif depth == 0 and upper.startswith("ORDER", i):
-                tail = upper[i + 5:]
-                if re.match(r"\s+BY\b", tail) and (i == 0 or not upper[i - 1].isalnum()):
-                    return True
-        i += 1
+    upper = query.text.upper()
+    for i, _, depth in _outside_literals(query.text):
+        if (depth == 0 and _ORDER_BY.match(upper, i)
+                and (i == 0 or not upper[i - 1].isalnum())):
+            return True
     return False
 
 

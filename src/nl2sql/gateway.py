@@ -14,7 +14,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
 
@@ -81,18 +81,6 @@ class ChatResponse:
     latency: float = 0.0
     backend_tag: str = "scripted"
 
-    @property
-    def total_tokens(self):
-        return self.prompt_tokens + self.completion_tokens
-
-
-@dataclass
-class CostSummary:
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    total_tokens: int = 0
-    cost: float = 0.0
-
 
 @dataclass
 class ModelRoute:
@@ -126,19 +114,6 @@ def cache_key(request: ChatRequest) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def accumulate_usage(responses, price_per_mtok: float) -> CostSummary:
-    """Sum exact per-call token usage into a cost at the given $/MTok."""
-    if price_per_mtok < 0:
-        raise ValueError("price must be >= 0")
-    summary = CostSummary()
-    for resp in responses:
-        summary.prompt_tokens += resp.prompt_tokens
-        summary.completion_tokens += resp.completion_tokens
-    summary.total_tokens = summary.prompt_tokens + summary.completion_tokens
-    summary.cost = summary.total_tokens * price_per_mtok / 1_000_000
-    return summary
 
 
 class ScriptedBackend:
@@ -333,11 +308,9 @@ class Gateway:
     temperature: float = 0.0
     max_output_tokens: int = 4096
     max_in_flight: int = 4
-    usage_log: list = field(default_factory=list)
 
     def __post_init__(self):
         self._semaphore = threading.Semaphore(self.max_in_flight)
-        self._log_lock = threading.Lock()
 
     def complete_for_role(self, role: str, messages) -> tuple:
         """Returns (ChatResponse, model_id) for the routed backend."""
@@ -351,6 +324,4 @@ class Gateway:
         )
         with self._semaphore:
             response = backend.complete(request, role)
-        with self._log_lock:
-            self.usage_log.append((model_id, response))
         return response, model_id

@@ -89,7 +89,7 @@ class PipelineConfig:
     skip_correction: bool = False
     correction_trigger: str = "gold_mismatch"
     timeout: float = 30.0
-    templates: dict | None = None
+    templates: dict = field(default_factory=agents.load_default_templates)
     sql_agent_sees_schema: bool = False
 
     def __post_init__(self):
@@ -145,7 +145,7 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     if config.correction_trigger == "gold_mismatch" and not gold_query:
         raise ValueError("gold_mismatch trigger requires a gold query")
     taxonomy = taxonomy or default_taxonomy()
-    templates = config.templates or agents.load_default_templates()
+    templates = config.templates
     trace = PipelineTrace(sample_id=sample_id or question[:48])
 
     gold_outcome = None
@@ -169,33 +169,32 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
 
     try:
         linked = agents.run_schema_linking(question, schema, gateway, trace, templates)
+        schema_text = render_schema_text(linked, parent=schema)
         subproblems = agents.run_subproblem(
-            question, linked, gateway, trace, templates, parent_schema=schema
+            question, schema_text, gateway, trace, templates
         )
         if config.skip_query_plan:
             plan_text = "Clause-level subproblems:\n" + subproblems.render()
         else:
             plan = agents.run_query_plan(
-                question, linked, subproblems, gateway, trace, templates,
-                parent_schema=schema,
+                question, schema_text, subproblems, gateway, trace, templates
             )
             plan_text = plan.render()
-        schema_text = ""
-        if config.sql_agent_sees_schema:
-            schema_text = (
-                "Relevant schema:\n"
-                + render_schema_text(linked, parent=schema)
-                + "\n"
-            )
         raw_sql = agents.run_sql(
-            question, plan_text, gateway, trace, templates, schema_text=schema_text
+            question, plan_text, gateway, trace, templates,
+            schema_text=(
+                f"Relevant schema:\n{schema_text}\n"
+                if config.sql_agent_sees_schema else ""
+            ),
         )
     except agents.StageError as exc:
         trace.status = "stage_error"
         trace.add_warning(str(exc))
         return PipelineResult(None, None, None, trace)
 
-    def attempt(raw_text, previous_sqls):
+    previous_sqls = []
+
+    def attempt(raw_text):
         """Sanitize + execute one candidate; returns (query, outcome, ea)."""
         try:
             query = sanitize(raw_text)
@@ -218,12 +217,10 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
                 repeat_of_earlier=repeated,
             )
         )
+        previous_sqls.append(query.text)
         return query, outcome, ea
 
-    previous_sqls = []
-    query, outcome, ea = attempt(raw_sql, previous_sqls)
-    if query is not None:
-        previous_sqls.append(query.text)
+    query, outcome, ea = attempt(raw_sql)
 
     rounds = 0
     while (
@@ -236,23 +233,19 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
         feedback = _feedback_text(outcome, ea, gold_outcome is not None)
         try:
             plan = agents.run_correction_plan(
-                question, linked, failed_sql, feedback, taxonomy,
-                gateway, trace, templates, parent_schema=schema,
+                question, schema_text, failed_sql, feedback, taxonomy,
+                gateway, trace, templates,
             )
             raw_fixed = agents.run_correction_sql(
-                question, linked, plan, failed_sql,
-                gateway, trace, templates, parent_schema=schema,
+                question, schema_text, plan, failed_sql,
+                gateway, trace, templates,
             )
         except agents.StageError as exc:
             trace.status = "stage_error"
             trace.add_warning(str(exc))
             return PipelineResult(query, outcome, ea, trace)
-        new_query, new_outcome, new_ea = attempt(raw_fixed, previous_sqls)
-        if new_query is not None:
-            previous_sqls.append(new_query.text)
-            query, outcome, ea = new_query, new_outcome, new_ea
-        else:
-            query, outcome, ea = new_query or query, new_outcome, new_ea
+        new_query, outcome, ea = attempt(raw_fixed)
+        query = new_query or query
 
     trace.status = "exhausted" if trigger_fires(outcome, ea) else "solved"
     return PipelineResult(query, outcome, ea, trace)

@@ -1,5 +1,6 @@
 import json
 import sqlite3
+import threading
 
 import pytest
 
@@ -241,6 +242,20 @@ class QuestionKeyedBackend:
         )
 
 
+class CallCountingBackend:
+    """Wraps a backend and counts the calls that reach it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request, role=None):
+        with self._lock:
+            self.calls += 1
+        return self.inner.complete(request, role)
+
+
 def question_keyed_gateway(sql_by_question, fix_by_question=None) -> Gateway:
     backend = QuestionKeyedBackend(sql_by_question, fix_by_question)
     return Gateway(
@@ -251,7 +266,8 @@ def question_keyed_gateway(sql_by_question, fix_by_question=None) -> Gateway:
 
 def scripted_gateway(sql_responses, correction_sql_responses=(),
                      correction_rounds=None, **script_overrides):
-    """Gateway whose six roles replay canned responses in order."""
+    """Gateway whose six roles replay canned responses in order; its
+    backend, gateway.backends["test"], counts the calls it receives."""
     n_corrections = (
         correction_rounds
         if correction_rounds is not None
@@ -266,7 +282,7 @@ def scripted_gateway(sql_responses, correction_sql_responses=(),
         "correction_sql": list(correction_sql_responses),
     }
     scripts.update(script_overrides)
-    backend = ScriptedBackend(scripts=scripts)
+    backend = CallCountingBackend(ScriptedBackend(scripts=scripts))
     return Gateway(
         backends={"test": backend},
         route=ModelRoute.uniform("test", "fixture-model"),

@@ -1,6 +1,8 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from nl2sql.agents import (
     CLAUSE_KEYS,
@@ -18,6 +20,7 @@ from nl2sql.agents import (
     run_subproblem,
 )
 from nl2sql.pipeline import PipelineTrace
+from nl2sql.schema import render_schema_text
 from nl2sql.taxonomy import default_taxonomy
 
 from conftest import (
@@ -64,6 +67,25 @@ def test_extract_nested_braces_in_strings():
     assert json.loads(extract_structured_payload("x " + payload)) == {
         "text": "a } inside", "n": 1,
     }
+
+
+# Text that cannot open a payload or a code fence of its own.
+_plain = st.text(st.characters(blacklist_characters="{[`"), max_size=20)
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False) | _plain)
+# An array holds no object: the object scan runs before the array scan.
+_arrays = st.lists(st.recursive(_scalars, st.lists, max_leaves=8), max_size=4)
+_objects = st.dictionaries(
+    _plain, st.recursive(_scalars, lambda inner: st.lists(inner)
+                         | st.dictionaries(_plain, inner), max_leaves=8),
+    max_size=4,
+)
+
+
+@given(_plain, _objects | _arrays, _plain)
+def test_extract_embedded_payload_roundtrips(before, value, after):
+    text = before + json.dumps(value) + after
+    assert json.loads(extract_structured_payload(text)) == value
 
 
 # --- templates ----------------------------------------------------------------
@@ -164,36 +186,33 @@ def test_schema_linking_reask_recovers(music_schema, trace):
     assert trace.stages[1].warnings  # re-ask is recorded with its reason
 
 
-def linked_fixture(music_schema, trace):
-    gateway = scripted_gateway([])
-    gateway.backends["test"].scripts["schema_linking"] = [LINKING_JSON]
-    return run_schema_linking("q", music_schema, gateway, trace,
+def linked_text(music_schema, trace):
+    gateway = scripted_gateway([], schema_linking=[LINKING_JSON])
+    link = run_schema_linking("q", music_schema, gateway, trace,
                               load_default_templates())
+    return render_schema_text(link, parent=music_schema)
 
 
 def test_subproblem_parses_clauses(music_schema, trace):
-    link = linked_fixture(music_schema, trace)
+    schema_text = linked_text(music_schema, trace)
     gateway = scripted_gateway([], subproblem=[SUBPROBLEM_JSON])
-    subs = run_subproblem("q", link, gateway, trace, load_default_templates(),
-                          parent_schema=music_schema)
+    subs = run_subproblem("q", schema_text, gateway, trace, load_default_templates())
     assert subs.clauses == {"SELECT": "count(*)", "FROM": "singer"}
 
 
 def test_subproblem_drops_unknown_key(music_schema, trace):
-    link = linked_fixture(music_schema, trace)
+    schema_text = linked_text(music_schema, trace)
     payload = json.dumps({"SELECT": "x", "WINDOW": "w"})
     gateway = scripted_gateway([], subproblem=[payload])
-    subs = run_subproblem("q", link, gateway, trace, load_default_templates(),
-                          parent_schema=music_schema)
+    subs = run_subproblem("q", schema_text, gateway, trace, load_default_templates())
     assert "WINDOW" not in subs.clauses
     assert any("WINDOW" in w for w in trace.warnings)
 
 
 def test_subproblem_empty_object_is_valid(music_schema, trace):
-    link = linked_fixture(music_schema, trace)
+    schema_text = linked_text(music_schema, trace)
     gateway = scripted_gateway([], subproblem=["{}"])
-    subs = run_subproblem("q", link, gateway, trace, load_default_templates(),
-                          parent_schema=music_schema)
+    subs = run_subproblem("q", schema_text, gateway, trace, load_default_templates())
     assert subs.clauses == {}
 
 
@@ -205,12 +224,12 @@ def test_subproblem_clause_vocabulary_is_closed():
 
 
 def run_plan(music_schema, trace, responses):
-    link = linked_fixture(music_schema, trace)
+    schema_text = linked_text(music_schema, trace)
     gateway = scripted_gateway([], query_plan=list(responses))
     from nl2sql.agents import SubproblemSet
 
-    return run_query_plan("q", link, SubproblemSet({}), gateway, trace,
-                          load_default_templates(), parent_schema=music_schema)
+    return run_query_plan("q", schema_text, SubproblemSet({}), gateway, trace,
+                          load_default_templates())
 
 
 def test_query_plan_four_steps(music_schema, trace):
@@ -254,7 +273,7 @@ def test_run_sql_whitespace_only_errors(trace):
 
 
 def test_correction_plan_parses_codes(music_schema, trace):
-    link = linked_fixture(music_schema, trace)
+    schema_text = linked_text(music_schema, trace)
     response = json.dumps({
         "codes": ["SCH-01"],
         "steps": ["Use the age column, not agee", "Re-run the count"],
@@ -262,42 +281,41 @@ def test_correction_plan_parses_codes(music_schema, trace):
     })
     gateway = scripted_gateway([], correction_plan=[response])
     plan = run_correction_plan(
-        "q", link, "SELECT agee FROM singer", "no such column: agee",
+        "q", schema_text, "SELECT agee FROM singer", "no such column: agee",
         default_taxonomy(), gateway, trace, load_default_templates(),
-        parent_schema=music_schema,
     )
     assert [c.code for c in plan.diagnosed_codes] == ["SCH-01"]
     assert len(plan.repair_steps) == 2
 
 
 def test_correction_plan_unknown_code_is_data(music_schema, trace):
-    link = linked_fixture(music_schema, trace)
+    schema_text = linked_text(music_schema, trace)
     response = "Diagnosis: FAKE-99 and JOIN-01.\n1. Add the missing join"
     gateway = scripted_gateway([], correction_plan=[response])
     plan = run_correction_plan(
-        "q", link, "SELECT 1", "rows differ", default_taxonomy(),
-        gateway, trace, load_default_templates(), parent_schema=music_schema,
+        "q", schema_text, "SELECT 1", "rows differ", default_taxonomy(),
+        gateway, trace, load_default_templates(),
     )
     assert plan.unknown_codes == ["FAKE-99"]
     assert [c.code for c in plan.diagnosed_codes] == ["JOIN-01"]
 
 
 def test_correction_plan_requires_nonempty_inputs(music_schema, trace):
-    link = linked_fixture(music_schema, trace)
+    schema_text = linked_text(music_schema, trace)
     gateway = scripted_gateway([])
     with pytest.raises(ValueError):
-        run_correction_plan("q", link, "", "feedback", default_taxonomy(),
+        run_correction_plan("q", schema_text, "", "feedback", default_taxonomy(),
                             gateway, trace, load_default_templates())
 
 
 def test_correction_sql_passthrough(music_schema, trace):
     from nl2sql.agents import CorrectionPlan
 
-    link = linked_fixture(music_schema, trace)
+    schema_text = linked_text(music_schema, trace)
     gateway = scripted_gateway([], correction_sql=["SELECT COUNT(*) FROM singer"])
     raw = run_correction_sql(
-        "q", link, CorrectionPlan([], [], ["fix it"]), "SELECT 1",
-        gateway, trace, load_default_templates(), parent_schema=music_schema,
+        "q", schema_text, CorrectionPlan([], [], ["fix it"]), "SELECT 1",
+        gateway, trace, load_default_templates(),
     )
     assert raw == "SELECT COUNT(*) FROM singer"
 
@@ -305,4 +323,4 @@ def test_correction_sql_passthrough(music_schema, trace):
 def test_every_gateway_call_appends_one_stage(music_schema, trace):
     gateway = scripted_gateway([], schema_linking=["junk", LINKING_JSON])
     run_schema_linking("q", music_schema, gateway, trace, load_default_templates())
-    assert len(trace.stages) == len(gateway.usage_log)
+    assert len(trace.stages) == gateway.backends["test"].calls == 2

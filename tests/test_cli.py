@@ -4,6 +4,7 @@ import os
 import pytest
 import yaml
 
+from nl2sql import evalkit
 from nl2sql.cli import main
 
 from conftest import FULL_LINK_JSON, PLAN_JSON, CORRECTION_PLAN_JSON
@@ -78,6 +79,18 @@ def test_ask_stage_error_exit_code(tmp_path, fixture_db, capsys):
     assert code == 3
 
 
+def test_ask_without_executable_sql_exits_3(tmp_path, fixture_db, capsys):
+    config = write_config(tmp_path, ask_scripts("I cannot answer that one."))
+    code = main([
+        "ask", "--config", config, "--db-file", fixture_db,
+        "--question", "q", "--no-correction",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "no executable SQL: no SQL statement found" in captured.err
+
+
 def test_ask_missing_db_is_data_error(tmp_path, capsys):
     config = write_config(tmp_path, ask_scripts("SELECT 1"))
     code = main([
@@ -146,6 +159,25 @@ def test_eval_ablation_flags_reach_config(tmp_path, eval_assets):
     assert code == 0
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     assert payload["aggregates"]["execution_accuracy"] == 100.00
+
+
+def test_eval_parallelism_bounds_calls_in_flight(tmp_path, eval_assets, monkeypatch):
+    questions, tables, db_root, config = eval_assets
+    seen = {}
+    real_evaluate = evalkit.evaluate
+
+    def spy(samples, schemas, db_paths, pipeline_config, gateway, **kwargs):
+        seen["max_in_flight"] = gateway.max_in_flight
+        seen["parallelism"] = kwargs["parallelism"]
+        return real_evaluate(samples, schemas, db_paths, pipeline_config, gateway, **kwargs)
+
+    monkeypatch.setattr(evalkit, "evaluate", spy)
+    main([
+        "eval", "--config", config, "--questions", questions,
+        "--tables", tables, "--db-root", db_root, "--parallelism", "8",
+        "--no-correction", "--out", str(tmp_path / "out"),
+    ])
+    assert seen == {"max_in_flight": 8, "parallelism": 8}
 
 
 def test_eval_requires_inputs(capsys):

@@ -8,12 +8,14 @@ from nl2sql.evalkit import (
     MetricsError,
     RunReport,
     SampleRow,
+    _row_cost,
     compute_metrics,
     evaluate,
     load_dataset,
     write_report,
 )
-from nl2sql.pipeline import PipelineConfig
+from nl2sql.gateway import ChatResponse
+from nl2sql.pipeline import PipelineConfig, PipelineTrace
 
 from conftest import question_keyed_gateway
 
@@ -143,6 +145,40 @@ def test_metrics_histogram_and_totals():
     assert metrics["total_tokens"] == 30
 
 
+# --- cost ------------------------------------------------------------------------
+
+def priced_trace(usages):
+    trace = PipelineTrace(sample_id="t")
+    for prompt_tokens, completion_tokens in usages:
+        response = ChatResponse("x", prompt_tokens=prompt_tokens,
+                                completion_tokens=completion_tokens)
+        trace.add_stage("sql", "prompt", response, "m")
+    return trace
+
+
+def test_usage_paper_scale_run():
+    # 2,838,667 tokens at $15/MTok lands on $42.58 at 2 d.p.
+    trace = priced_trace([(2_000_000, 838_667)])
+    assert trace.total_tokens == 2_838_667
+    row = make_rows(0, 1)[0]
+    row.cost = _row_cost(trace, {"m": 15.0})
+    assert compute_metrics([row])["total_cost"] == 42.58
+
+
+def test_usage_empty_and_unit():
+    assert _row_cost(priced_trace([]), {}) == 0.0
+    # unpriced models fall back to the default $15/MTok
+    assert _row_cost(priced_trace([(600_000, 400_000)]), {}) == 15.0
+
+
+def test_usage_is_exact_sum():
+    trace = priced_trace([(i, 2 * i) for i in range(50)])
+    assert trace.total_tokens == sum(3 * i for i in range(50))
+    assert _row_cost(trace, {"default": 1.0}) == pytest.approx(
+        sum(3 * i for i in range(50)) / 1_000_000
+    )
+
+
 # --- evaluation -------------------------------------------------------------------
 
 def test_evaluate_mini_batch(dataset):
@@ -212,6 +248,27 @@ def test_checkpoint_skips_done_samples(dataset, tmp_path):
                       parallelism=1, checkpoint_path=str(checkpoint))
     assert checkpoint.read_text().count("\n") == lines_before
     assert report.aggregates["samples"] == 10
+
+
+def test_resume_after_torn_checkpoint_line(dataset, tmp_path, caplog):
+    samples, schemas, db_paths = dataset
+    checkpoint = tmp_path / "rows.jsonl"
+    evaluate(samples[:1], schemas, db_paths, PipelineConfig(), new_gateway(),
+             parallelism=1, checkpoint_path=str(checkpoint))
+    # a kill mid-write leaves a partial last line
+    with open(checkpoint, "a", encoding="utf-8") as fh:
+        fh.write('{"attempts": 1, "cost": 0.0, "db_id": "mu')
+
+    first = evaluate(samples, schemas, db_paths, PipelineConfig(), new_gateway(),
+                     parallelism=1, checkpoint_path=str(checkpoint))
+    assert "skipping unreadable line 2" in caplog.text
+    assert [r.index for r in first.rows] == list(range(10))
+
+    gateway = question_keyed_gateway({})  # would fail any sample that ran
+    second = evaluate(samples, schemas, db_paths, PipelineConfig(), gateway,
+                      parallelism=1, checkpoint_path=str(checkpoint))
+    assert second.aggregates == first.aggregates
+    assert second.aggregates["execution_accuracy"] == 90.00
 
 
 def test_stage_errors_contained(dataset):

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from nl2sql.gateway import (
     AuthError,
     ChatRequest,
-    ChatResponse,
     Gateway,
     ModelRoute,
     RateLimitError,
@@ -15,9 +14,10 @@ from nl2sql.gateway import (
     ReplayBackend,
     ScriptedBackend,
     ScriptedMissError,
-    accumulate_usage,
     cache_key,
 )
+
+from conftest import CallCountingBackend
 
 
 def make_request(**kw):
@@ -63,33 +63,6 @@ def test_cache_key_distinguishes_distinct_messages(a, b):
     ka = cache_key(make_request(messages=[("user", a)]))
     kb = cache_key(make_request(messages=[("user", b)]))
     assert (ka == kb) == (a == b)
-
-
-def test_usage_paper_scale_run():
-    # 2,838,667 tokens at $15/MTok lands on $42.58 at 2 d.p.
-    responses = [
-        ChatResponse("x", prompt_tokens=2_000_000, completion_tokens=838_667)
-    ]
-    summary = accumulate_usage(responses, 15.0)
-    assert summary.total_tokens == 2_838_667
-    assert round(summary.cost, 2) == 42.58
-
-
-def test_usage_empty_and_unit():
-    assert accumulate_usage([], 15.0).cost == 0.0
-    one = accumulate_usage(
-        [ChatResponse("x", prompt_tokens=600_000, completion_tokens=400_000)], 15.0
-    )
-    assert one.cost == 15.0
-
-
-def test_usage_is_exact_sum():
-    responses = [
-        ChatResponse("x", prompt_tokens=i, completion_tokens=2 * i)
-        for i in range(50)
-    ]
-    summary = accumulate_usage(responses, 1.0)
-    assert summary.total_tokens == sum(3 * i for i in range(50))
 
 
 def test_scripted_exact_match():
@@ -205,8 +178,8 @@ def test_remote_gives_up_after_max_attempts(monkeypatch):
     assert session.attempts == RemoteBackend.MAX_ATTEMPTS
 
 
-def test_gateway_routes_and_logs_usage():
-    backend = ScriptedBackend(scripts={"sql": ["SELECT 1"]})
+def test_gateway_routes_role_to_backend():
+    backend = CallCountingBackend(ScriptedBackend(scripts={"sql": ["SELECT 1"]}))
     gateway = Gateway(
         backends={"b": backend},
         route=ModelRoute.uniform("b", "fixture-model"),
@@ -214,7 +187,7 @@ def test_gateway_routes_and_logs_usage():
     response, model_id = gateway.complete_for_role("sql", [("user", "q")])
     assert model_id == "fixture-model"
     assert response.content == "SELECT 1"
-    assert len(gateway.usage_log) == 1
+    assert backend.calls == 1
 
 
 def test_route_requires_all_roles():

@@ -176,7 +176,7 @@ def test_repeat_guard_rules():
 def test_stage_records_match_gateway_calls(music_schema, fixture_db):
     gateway = scripted_gateway([WRONG], correction_sql_responses=[CORRECT])
     result = run(music_schema, fixture_db, gateway)
-    assert len(result.trace.stages) == len(gateway.usage_log)
+    assert len(result.trace.stages) == gateway.backends["test"].calls
 
 
 def test_solved_means_final_attempt_matches(music_schema, fixture_db):
