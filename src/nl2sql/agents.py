@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import taxonomy as taxonomy_mod
+from .gateway import GatewayError
 from .schema import LinkedSchema, ForeignKey, render_schema_text, validate_linked_schema
 
 PLACEHOLDERS = frozenset({
@@ -183,12 +184,21 @@ def looks_like_sql_statement(step: str) -> bool:
         conn.close()
 
 
+def _complete(gateway, role, messages):
+    """One gateway call; a GatewayError (retries spent, auth, no fixture)
+    fails the stage like an unparseable reply does."""
+    try:
+        return gateway.complete_for_role(role, messages)
+    except GatewayError as exc:
+        raise StageError(role, f"{type(exc).__name__}: {exc}") from exc
+
+
 def _call(gateway, trace, template: PromptTemplate, bindings: dict,
           parse, failure_hint: str):
     """Render, call, record, parse; one format re-ask on parse failure."""
     user_text = template.render(**bindings)
     messages = [("system", template.system_text), ("user", user_text)]
-    response, model_id = gateway.complete_for_role(template.role, messages)
+    response, model_id = _complete(gateway, template.role, messages)
     trace.add_stage(template.role, user_text, response, model_id)
     try:
         return parse(response.content)
@@ -198,7 +208,7 @@ def _call(gateway, trace, template: PromptTemplate, bindings: dict,
         ("assistant", response.content),
         ("user", f"{FORMAT_REMINDER} ({failure_hint})"),
     ]
-    response2, model_id = gateway.complete_for_role(template.role, retry_messages)
+    response2, model_id = _complete(gateway, template.role, retry_messages)
     trace.add_stage(template.role, retry_messages[-1][1], response2, model_id,
                     warnings=[f"format re-ask after: {first_error}"])
     try:

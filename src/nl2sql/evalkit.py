@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from decimal import Decimal, ROUND_HALF_UP
 
-from .pipeline import run_pipeline, append_trace
+from .pipeline import append_trace, gold_sql, run_pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -153,12 +153,15 @@ def _row_cost(trace, prices: dict) -> float:
     return cost
 
 
-def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices) -> SampleRow:
+def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices,
+             gold_outcome=None) -> tuple:
+    """(SampleRow, PipelineResult) for one sample; the result is None when
+    the sample crashed."""
     try:
         result = run_pipeline(
             sample.question, schema, db_path, config, gateway,
             gold_query=sample.gold_query, taxonomy=taxonomy,
-            sample_id=str(sample.index),
+            sample_id=str(sample.index), gold_outcome=gold_outcome,
         )
     except Exception as exc:  # per-sample isolation: score and continue
         logger.exception("sample %d crashed", sample.index)
@@ -181,7 +184,16 @@ def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices) -> Samp
         exact_match=bool(final_sql)
         and _normalize_sql(final_sql) == _normalize_sql(sample.gold_query),
     )
-    return row, result.trace
+    return row, result
+
+
+def _gold_key(sample) -> tuple:
+    """Samples with equal keys share one gold result: the database and the
+    gold query exactly as run_pipeline executes it, so 'Lyon' and 'lyon'
+    stay apart. A gold that is not text, which run_pipeline cannot execute,
+    keys as None."""
+    gold = sample.gold_query
+    return sample.db_id, gold_sql(gold) if isinstance(gold, str) else None
 
 
 def _read_checkpoint(path) -> dict:
@@ -214,31 +226,47 @@ def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
              prices=None) -> RunReport:
     """Run the pipeline over a sample batch and report metrics.
 
+    Samples that share a database and gold query (paraphrased questions)
+    run back to back, in batch order, on one of the ``parallelism``
+    workers: the first executes the gold query and the rest reuse its
+    result, which is dropped when the group ends. Groups start in order of
+    their first sample.
+
     Resumable: rows already in the checkpoint file are not re-run, so an
     interrupted batch picks up where it stopped.
     """
     prices = prices or {}
     done = _read_checkpoint(checkpoint_path)
-    pending = [s for s in samples if s.index not in done]
+    groups = {}
+    for sample in samples:
+        if sample.index not in done:
+            groups.setdefault(_gold_key(sample), []).append(sample)
 
     checkpoint_lock = threading.Lock()
 
-    def work(sample):
-        row, trace = _run_one(
-            sample, schemas[sample.db_id], db_paths[sample.db_id],
-            config, gateway, taxonomy, prices,
-        )
-        if trace is not None and trace_path:
-            append_trace(trace, trace_path)
-        if checkpoint_path:
-            with checkpoint_lock:
-                with open(checkpoint_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
-        return row
+    def work(group):
+        group_rows = []
+        gold_outcome = None
+        for sample in group:
+            row, result = _run_one(
+                sample, schemas[sample.db_id], db_paths[sample.db_id],
+                config, gateway, taxonomy, prices, gold_outcome=gold_outcome,
+            )
+            if result is not None:
+                gold_outcome = result.gold_outcome
+                if trace_path:
+                    append_trace(result.trace, trace_path)
+            if checkpoint_path:
+                with checkpoint_lock:
+                    with open(checkpoint_path, "a", encoding="utf-8") as fh:
+                        fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
+            group_rows.append(row)
+        return group_rows
 
     rows = list(done.values())
     with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        rows.extend(pool.map(work, pending))
+        for group_rows in pool.map(work, groups.values()):
+            rows.extend(group_rows)
 
     wanted = {s.index for s in samples}
     rows = sorted((r for r in rows if r.index in wanted), key=lambda r: r.index)

@@ -128,6 +128,20 @@ def canonical_value(value):
     return value
 
 
+# Types canonical_value returns unchanged: a row of only these is kept as is.
+_CANONICAL_TYPES = frozenset((int, str, type(None)))
+
+
+def canonical_rows(raw_rows) -> list:
+    """Rows with every value passed through canonical_value. A row whose
+    values are all ints, strs or None is kept as the same tuple."""
+    return [
+        row if _CANONICAL_TYPES.issuperset(map(type, row))
+        else tuple(canonical_value(v) for v in row)
+        for row in raw_rows
+    ]
+
+
 _ERROR_KINDS = (
     (re.compile(r"syntax error|incomplete input|unrecognized token", re.I), "syntax"),
     (re.compile(r"no such (table|column|function)", re.I), "missing_entity"),
@@ -160,7 +174,7 @@ def execute(db_file, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutcome
         cursor = conn.execute(query.text)
         raw_rows = cursor.fetchall()
         column_count = len(cursor.description) if cursor.description else 0
-        rows = [tuple(canonical_value(v) for v in row) for row in raw_rows]
+        rows = canonical_rows(raw_rows)
         return ExecutionOutcome.success(rows, column_count)
     except sqlite3.OperationalError as exc:
         message = str(exc)

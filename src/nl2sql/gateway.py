@@ -283,12 +283,24 @@ class RemoteBackend:
                 continue
             if resp.status_code != 200:
                 raise GatewayError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-            body = resp.json()
-            usage = body.get("usage", {})
+            try:
+                body = resp.json()
+                content = body["choices"][0]["message"]["content"]
+                usage = body.get("usage") or {}
+                prompt_tokens = int(usage.get("prompt_tokens", 0))
+                completion_tokens = int(usage.get("completion_tokens", 0))
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise GatewayError(
+                    f"malformed reply: {type(exc).__name__}: {exc}"
+                ) from exc
+            if not isinstance(content, str):
+                raise GatewayError(
+                    f"malformed reply: message content is {type(content).__name__}"
+                )
             return ChatResponse(
-                content=body["choices"][0]["message"]["content"],
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
+                content=content,
+                prompt_tokens=prompt_tokens,
+                completion_tokens=completion_tokens,
                 latency=time.monotonic() - started,
                 backend_tag=self.tag,
             )

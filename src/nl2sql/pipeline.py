@@ -105,6 +105,7 @@ class PipelineResult:
     outcome: object  # ExecutionOutcome or None
     ea: bool | None
     trace: PipelineTrace
+    gold_outcome: object = None  # the gold query's ExecutionOutcome, or None
 
 
 def repeat_guard(previous_sqls, candidate_sql: str) -> bool:
@@ -113,6 +114,13 @@ def repeat_guard(previous_sqls, candidate_sql: str) -> bool:
     succeed if the prior failure was transient."""
     norm = " ".join(candidate_sql.split())
     return any(" ".join(p.split()) == norm for p in previous_sqls)
+
+
+def gold_sql(gold_query: str) -> SqlQuery:
+    """The gold query as run_pipeline executes it: surrounding whitespace
+    and trailing semicolons dropped, everything else (literal case too)
+    kept."""
+    return SqlQuery(gold_query.strip().rstrip(";"))
 
 
 def _feedback_text(outcome, ea, gold_present) -> str:
@@ -134,13 +142,18 @@ def _feedback_text(outcome, ea, gold_present) -> str:
 
 def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
                  gold_query: str | None = None, taxonomy=None,
-                 sample_id: str = "") -> PipelineResult:
+                 sample_id: str = "", gold_outcome=None) -> PipelineResult:
     """Run the full agent pipeline for one question.
 
     Stage order: schema_linking, subproblem, query_plan (unless skipped),
     sql, sanitize, execute; then correction rounds of correction_plan,
     correction_sql, sanitize, execute until the trigger stops firing or
     the round budget is spent.
+
+    The gold query is executed first unless ``gold_outcome`` already holds
+    its result on ``db_file``; the result is returned as
+    ``PipelineResult.gold_outcome`` either way, so a caller can hand it to
+    the next sample with the same database and gold query.
     """
     if config.correction_trigger == "gold_mismatch" and not gold_query:
         raise ValueError("gold_mismatch trigger requires a gold query")
@@ -148,12 +161,14 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     templates = config.templates
     trace = PipelineTrace(sample_id=sample_id or question[:48])
 
-    gold_outcome = None
     order_sensitive = False
     if gold_query:
-        gold_sql = SqlQuery(gold_query.strip().rstrip(";"))
-        gold_outcome = execute(db_file, gold_sql, timeout=config.timeout)
-        order_sensitive = has_top_level_order_by(gold_sql)
+        gold = gold_sql(gold_query)
+        if gold_outcome is None:
+            gold_outcome = execute(db_file, gold, timeout=config.timeout)
+        order_sensitive = has_top_level_order_by(gold)
+    else:
+        gold_outcome = None
 
     def verdict(outcome):
         if gold_outcome is None:
@@ -190,7 +205,7 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     except agents.StageError as exc:
         trace.status = "stage_error"
         trace.add_warning(str(exc))
-        return PipelineResult(None, None, None, trace)
+        return PipelineResult(None, None, None, trace, gold_outcome)
 
     previous_sqls = []
 
@@ -243,12 +258,12 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
         except agents.StageError as exc:
             trace.status = "stage_error"
             trace.add_warning(str(exc))
-            return PipelineResult(query, outcome, ea, trace)
+            return PipelineResult(query, outcome, ea, trace, gold_outcome)
         new_query, outcome, ea = attempt(raw_fixed)
         query = new_query or query
 
     trace.status = "exhausted" if trigger_fires(outcome, ea) else "solved"
-    return PipelineResult(query, outcome, ea, trace)
+    return PipelineResult(query, outcome, ea, trace, gold_outcome)
 
 
 _trace_write_lock = threading.Lock()

@@ -79,6 +79,21 @@ def test_ask_stage_error_exit_code(tmp_path, fixture_db, capsys):
     assert code == 3
 
 
+def test_ask_gateway_error_is_stage_error(tmp_path, fixture_db, capsys):
+    config = write_config(tmp_path, {})  # strict scripts with no fixture
+    code = main([
+        "ask", "--config", config, "--db-file", fixture_db,
+        "--question", "How many singers do we have?",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(
+        "stage error: schema_linking: ScriptedMissError: no fixture"
+    )
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_ask_without_executable_sql_exits_3(tmp_path, fixture_db, capsys):
     config = write_config(tmp_path, ask_scripts("I cannot answer that one."))
     code = main([

@@ -1,5 +1,7 @@
 import json
 import os
+import threading
+from collections import Counter
 
 import pytest
 
@@ -14,10 +16,16 @@ from nl2sql.evalkit import (
     load_dataset,
     write_report,
 )
-from nl2sql.gateway import ChatResponse
-from nl2sql.pipeline import PipelineConfig, PipelineTrace
+from nl2sql import pipeline
+from nl2sql.gateway import ChatResponse, Gateway, ModelRoute, ScriptedBackend
+from nl2sql.pipeline import PipelineConfig, PipelineTrace, load_traces
 
-from conftest import question_keyed_gateway
+from conftest import (
+    FULL_LINK_JSON,
+    PLAN_JSON,
+    QuestionKeyedBackend,
+    question_keyed_gateway,
+)
 
 # 10-sample mini benchmark over the music fixture database.
 DATASET = [
@@ -289,6 +297,20 @@ def test_stage_errors_contained(dataset):
     assert report.aggregates["stage_error_count"] == 10
 
 
+def test_gateway_error_scores_stage_error(dataset, caplog):
+    samples, schemas, db_paths = dataset
+    scripts = {"schema_linking": [FULL_LINK_JSON], "subproblem": ["{}"],
+               "query_plan": [PLAN_JSON]}  # the sql stage has no fixture
+    gateway = Gateway(backends={"s": ScriptedBackend(scripts=scripts)},
+                      route=ModelRoute.uniform("s", "m"))
+    report = evaluate(samples[:1], schemas, db_paths, PipelineConfig(), gateway,
+                      parallelism=1)
+    row = report.rows[0]
+    assert row.stage_error is True and row.ea is False
+    assert row.tokens > 0  # the three stages that ran are kept
+    assert "crashed" not in caplog.text
+
+
 def test_aggregates_recomputable_from_rows(dataset):
     samples, schemas, db_paths = dataset
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
@@ -342,3 +364,131 @@ def test_costs_use_price_table(dataset):
     assert free.aggregates["total_cost"] == 0.0
     row = priced.rows[0]
     assert row.cost == pytest.approx(row.tokens * 15.0 / 1_000_000)
+
+
+# --- samples sharing a gold query ----------------------------------------------
+
+# Paraphrase groups: indexes 0, 2, 6 share one gold once whitespace and the
+# trailing semicolon are dropped; 1 and 4 share another; 3 differs from them
+# only in the case of a string literal, which changes its result.
+PAIRED = [
+    ("How many singers do we have?", "SELECT COUNT(*) FROM singer"),
+    ("What are the names of stadiums in Leeds?",
+     "SELECT name FROM stadium WHERE city = 'Leeds'"),
+    ("Count the singers.", "SELECT COUNT(*) FROM singer;"),
+    ("Which stadiums are in leeds?",
+     "SELECT name FROM stadium WHERE city = 'leeds'"),
+    ("Name the stadiums located in Leeds.",
+     "  SELECT name FROM stadium WHERE city = 'Leeds'  "),
+    ("How many concerts are there?", "SELECT COUNT(*) FROM concert"),
+    ("Give the number of singers.", "SELECT COUNT(*) FROM singer"),
+]
+PAIRED_GOLDS = {
+    "SELECT COUNT(*) FROM singer",
+    "SELECT name FROM stadium WHERE city = 'Leeds'",
+    "SELECT name FROM stadium WHERE city = 'leeds'",
+    "SELECT COUNT(*) FROM concert",
+}
+# Candidates spell SELECT in lower case, so an execute call whose text starts
+# with "SELECT" is a gold execution.
+PAIRED_SQL = {q: gold.strip().rstrip(";").replace("SELECT", "select")
+              for q, gold in PAIRED}
+PAIRED_SQL["Which stadiums are in leeds?"] = (
+    "select name FROM stadium WHERE city = 'Leeds'")
+PAIRED_EA = [True, True, True, False, True, True, True]
+
+
+@pytest.fixture()
+def paired(tmp_path, fixture_tables_file, db_root):
+    path = tmp_path / "paired.json"
+    path.write_text(json.dumps([
+        {"question": q, "query": gold, "db_id": "music"} for q, gold in PAIRED
+    ]), encoding="utf-8")
+    return load_dataset(str(path), fixture_tables_file, db_root)
+
+
+@pytest.fixture()
+def gold_runs(monkeypatch):
+    """Counts, by query text, the gold executions run_pipeline makes."""
+    counts = Counter()
+    lock = threading.Lock()
+    execute = pipeline.execute
+
+    def counting_execute(db_file, query, timeout=30.0):
+        if query.text.startswith("SELECT"):
+            with lock:
+                counts[query.text] += 1
+        return execute(db_file, query, timeout=timeout)
+
+    monkeypatch.setattr(pipeline, "execute", counting_execute)
+    return counts
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_gold_executes_once_per_db_and_gold(paired, gold_runs, parallelism):
+    samples, schemas, db_paths = paired
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
+    assert gold_runs == {gold: 1 for gold in PAIRED_GOLDS}
+    assert [r.ea for r in report.rows] == PAIRED_EA
+
+
+def test_gold_literal_case_is_not_merged(paired, gold_runs):
+    samples, schemas, db_paths = paired
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=1)
+    assert gold_runs["SELECT name FROM stadium WHERE city = 'Leeds'"] == 1
+    assert gold_runs["SELECT name FROM stadium WHERE city = 'leeds'"] == 1
+    by_index = {r.index: r for r in report.rows}
+    assert by_index[1].ea and by_index[4].ea
+    assert by_index[3].ea is False  # scored against its own, empty, gold
+
+
+def test_crash_in_first_sample_of_group_reruns_gold(paired, gold_runs, caplog):
+    class CrashingBackend(QuestionKeyedBackend):
+        def complete(self, request, role=None):
+            if role == "sql" and self._question(request) == PAIRED[0][0]:
+                raise RuntimeError("backend bug")
+            return super().complete(request, role)
+
+    samples, schemas, db_paths = paired
+    gateway = Gateway(backends={"t": CrashingBackend(PAIRED_SQL)},
+                      route=ModelRoute.uniform("t", "fixture-model"))
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(), gateway,
+                      parallelism=1)
+    assert "sample 0 crashed" in caplog.text
+    assert [r.ea for r in report.rows] == [False] + PAIRED_EA[1:]
+    assert report.rows[0].stage_error is True
+    # the crashed sample's gold result is lost; sample 2 runs it again
+    assert gold_runs["SELECT COUNT(*) FROM singer"] == 2
+    assert sum(gold_runs.values()) == len(PAIRED_GOLDS) + 1
+
+
+def test_resume_runs_only_pending_samples_of_a_group(paired, gold_runs, tmp_path):
+    samples, schemas, db_paths = paired
+    checkpoint = tmp_path / "rows.jsonl"
+    traces = tmp_path / "traces.jsonl"
+    evaluate(samples[:2], schemas, db_paths, PipelineConfig(),
+             question_keyed_gateway(PAIRED_SQL), parallelism=1,
+             checkpoint_path=str(checkpoint))
+    gold_runs.clear()
+
+    resumed = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                       question_keyed_gateway(PAIRED_SQL), parallelism=4,
+                       checkpoint_path=str(checkpoint), trace_path=str(traces))
+    ran = sorted(int(t["sample_id"]) for t in load_traces(str(traces)))
+    assert ran == [2, 3, 4, 5, 6]
+    assert gold_runs == {gold: 1 for gold in PAIRED_GOLDS}
+    assert [r.ea for r in resumed.rows] == PAIRED_EA
+    assert checkpoint.read_text().count("\n") == len(PAIRED)
+
+
+def test_report_identical_across_parallelism_with_shared_golds(paired, tmp_path):
+    samples, schemas, db_paths = paired
+    for parallelism in (1, 4):
+        report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                          question_keyed_gateway(PAIRED_SQL),
+                          parallelism=parallelism)
+        write_report(report, tmp_path / str(parallelism))
+    assert ((tmp_path / "1" / "report.json").read_bytes()
+            == (tmp_path / "4" / "report.json").read_bytes())

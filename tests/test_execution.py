@@ -9,6 +9,7 @@ from nl2sql.execution import (
     ExecutionOutcome,
     SanitizeError,
     SqlQuery,
+    canonical_rows,
     canonical_value,
     compare_results,
     execute,
@@ -164,6 +165,39 @@ def test_canonical_values():
     assert canonical_value(6.5) == 6.5
     assert canonical_value(None) is None
     assert canonical_value(b"abc").startswith("blob:")
+
+
+_values = (
+    st.integers()
+    | st.integers(-2**53, 2**53).map(float)  # integral floats
+    | st.floats(allow_nan=False)
+    | st.text()
+    | st.binary()
+    | st.none()
+)
+
+
+@given(st.lists(st.lists(_values, max_size=5).map(tuple), max_size=8))
+def test_canonical_rows_match_per_value_canonicalization(raw_rows):
+    assert canonical_rows(raw_rows) == [
+        tuple(canonical_value(v) for v in row) for row in raw_rows
+    ]
+
+
+def test_execute_canonicalizes_mixed_rows(tmp_path):
+    path = tmp_path / "mixed.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t (a, b, c)")
+    conn.executemany("INSERT INTO t VALUES (?, ?, ?)", [
+        (1, "x", None), (2.0, "y", 3), (2.5, b"\x00", None),
+    ])
+    conn.commit()
+    conn.close()
+    outcome = execute(str(path), SqlQuery("SELECT a, b, c FROM t ORDER BY rowid"))
+    assert outcome.rows == [
+        (1, "x", None), (2, "y", 3), (2.5, canonical_value(b"\x00"), None),
+    ]
+    assert type(outcome.rows[1][0]) is int
 
 
 # --- top-level ORDER BY detection -------------------------------------------

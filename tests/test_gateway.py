@@ -8,6 +8,7 @@ from nl2sql.gateway import (
     AuthError,
     ChatRequest,
     Gateway,
+    GatewayError,
     ModelRoute,
     RateLimitError,
     RemoteBackend,
@@ -176,6 +177,33 @@ def test_remote_gives_up_after_max_attempts(monkeypatch):
     with pytest.raises(RateLimitError):
         backend.complete(make_request())
     assert session.attempts == RemoteBackend.MAX_ATTEMPTS
+
+
+class NonJsonResponse(FakeResponse):
+    def __init__(self, text):
+        super().__init__(200)
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+@pytest.mark.parametrize("response", [
+    NonJsonResponse("<html>gateway hiccup</html>"),
+    FakeResponse(200, {"usage": {"prompt_tokens": 1}}),
+    FakeResponse(200, {"choices": []}),
+    FakeResponse(200, {"choices": [{"message": {}}]}),
+    FakeResponse(200, {"choices": [{"message": {"content": None}}]}),
+    FakeResponse(200, {"choices": "SELECT 1"}),
+], ids=["not-json", "no-choices", "empty-choices", "no-content",
+        "null-content", "choices-not-list"])
+def test_remote_malformed_reply_is_gateway_error(monkeypatch, response):
+    monkeypatch.setenv("NL2SQL_API_KEY", "k")
+    session = FakeSession([response])
+    backend = RemoteBackend("https://api.test", session=session, sleep=lambda s: None)
+    with pytest.raises(GatewayError, match="malformed reply"):
+        backend.complete(make_request())
+    assert session.attempts == 1
 
 
 def test_gateway_routes_role_to_backend():
