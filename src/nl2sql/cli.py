@@ -22,6 +22,8 @@ from .gateway import (
     RemoteBackend,
     ReplayBackend,
     ScriptedBackend,
+    read_replay_log,
+    replay_log_path,
 )
 from .pipeline import PipelineConfig, run_pipeline, load_traces
 from .schema import SchemaError, introspect_database, load_tables_json
@@ -266,15 +268,16 @@ def cmd_cache(args) -> int:
             print("cache entries: 0")
             return EXIT_OK
         raise CliError(f"cache directory not found: {cache_dir}", EXIT_DATA)
-    entries = [f for f in os.listdir(cache_dir) if f.endswith(".jsonl")]
+    path = replay_log_path(cache_dir)
+    entries = len(read_replay_log(cache_dir))
     if args.action == "stats":
-        size = sum(os.path.getsize(os.path.join(cache_dir, f)) for f in entries)
-        print(f"cache entries: {len(entries)}")
+        size = os.path.getsize(path) if os.path.exists(path) else 0
+        print(f"cache entries: {entries}")
         print(f"cache size: {size} bytes")
     elif args.action == "clear":
-        for f in entries:
-            os.remove(os.path.join(cache_dir, f))
-        print(f"removed {len(entries)} entries")
+        if os.path.exists(path):
+            os.remove(path)
+        print(f"removed {entries} entries")
     return EXIT_OK
 
 

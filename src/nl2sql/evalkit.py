@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from decimal import Decimal, ROUND_HALF_UP
 
+from .execution import _outside_literals
 from .pipeline import append_trace, gold_sql, run_pipeline
 
 logger = logging.getLogger(__name__)
@@ -85,6 +86,11 @@ def load_dataset(questions_file, tables_file, db_root, offset=0, limit=None):
             )
         except (KeyError, TypeError) as exc:
             raise DatasetError(f"{questions_file}: malformed entry {i}: {exc}") from exc
+        for name in ("question", "query", "db_id"):
+            if not isinstance(entry[name], str):
+                raise DatasetError(
+                    f"{questions_file}: malformed entry {i}: {name!r} is not text"
+                )
         samples.append(sample)
 
     window = samples[offset:offset + limit if limit is not None else None]
@@ -141,7 +147,13 @@ def compute_metrics(rows) -> dict:
 
 
 def _normalize_sql(text: str) -> str:
-    return re.sub(r"\s+", " ", text.strip().rstrip(";")).lower()
+    """Whitespace collapsed and lowercased outside string literals, so
+    'Leeds' and 'leeds' stay apart."""
+    text = re.sub(r"\s+", " ", text.strip().rstrip(";"))
+    chars = list(text)
+    for i, ch, _ in _outside_literals(text):
+        chars[i] = ch.lower()
+    return "".join(chars)
 
 
 def _row_cost(trace, prices: dict) -> float:
@@ -190,10 +202,8 @@ def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices,
 def _gold_key(sample) -> tuple:
     """Samples with equal keys share one gold result: the database and the
     gold query exactly as run_pipeline executes it, so 'Lyon' and 'lyon'
-    stay apart. A gold that is not text, which run_pipeline cannot execute,
-    keys as None."""
-    gold = sample.gold_query
-    return sample.db_id, gold_sql(gold) if isinstance(gold, str) else None
+    stay apart."""
+    return sample.db_id, gold_sql(sample.gold_query)
 
 
 def _read_checkpoint(path) -> dict:

@@ -14,6 +14,7 @@ import os
 import random
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 
 logger = logging.getLogger(__name__)
@@ -160,11 +161,57 @@ class ScriptedBackend:
         )
 
 
-class ReplayBackend:
-    """Cache wrapper: one file per cache_key under cache_dir.
+def replay_log_path(cache_dir) -> str:
+    """The replay log a ReplayBackend over ``cache_dir`` reads and appends."""
+    return os.path.join(str(cache_dir), "replay.jsonl")
 
-    A hit returns the recorded content byte-identically; a miss delegates
-    to the inner backend and records the response. Writes are serialized.
+
+def _load_log(path) -> tuple:
+    """(cache_key -> record, whether the log ends in a newline) for the log
+    at ``path``. A line that does not decode to a record, such as the torn
+    tail a kill mid-write leaves, is skipped; for a key recorded twice the
+    first record wins."""
+    records = {}
+    line = b"\n"
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return records, True
+    with fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                record = json.loads(line)
+                valid = (isinstance(record["key"], str)
+                         and isinstance(record["content"], str)
+                         and isinstance(record["prompt_tokens"], int)
+                         and isinstance(record["completion_tokens"], int))
+            except (ValueError, LookupError, TypeError):
+                valid = False
+            if valid:
+                records.setdefault(record["key"], record)
+            elif line.strip():
+                logger.warning("replay log %s: skipping unreadable line %d", path, number)
+    return records, line.endswith(b"\n")
+
+
+def read_replay_log(cache_dir) -> dict:
+    """cache_key -> record for every readable line of the replay log in
+    ``cache_dir``; empty when there is none."""
+    return _load_log(replay_log_path(cache_dir))[0]
+
+
+class ReplayBackend:
+    """Cache wrapper over one append-only log, ``<cache_dir>/replay.jsonl``.
+
+    The constructor reads the log into memory. A hit returns the recorded
+    content byte-identically without touching the disk; a miss delegates to
+    the inner backend and appends one JSON line (ASCII-escaped, so any str
+    round-trips) in a single write to an O_APPEND descriptor, opened at the
+    first miss and closed by ``close`` or when the backend is collected.
+
+    Concurrent misses on one key make one inner call: the first caller
+    makes it and the rest wait for its record (single-flight). If that call
+    raises, each waiter makes its own call, and nothing is recorded.
     """
 
     tag = "replay"
@@ -173,40 +220,78 @@ class ReplayBackend:
         self.inner = inner
         self.cache_dir = str(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
+        self.path = replay_log_path(self.cache_dir)
+        self._records, complete = _load_log(self.path)
+        if not complete:
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")  # the next record starts its own line
+        self._flights = {}  # cache_key -> Event set when its inner call ends
         self._lock = threading.Lock()
+        self._fd = None
+        self._close_fd = None  # weakref.finalize closing _fd
 
-    def _path(self, key):
-        return os.path.join(self.cache_dir, key + ".jsonl")
+    def close(self) -> None:
+        """Close the log descriptor; a later miss opens it again."""
+        with self._lock:
+            if self._fd is not None:
+                self._close_fd()
+                self._fd = None
 
-    def complete(self, request: ChatRequest, role: str | None = None) -> ChatResponse:
-        key = cache_key(request)
-        path = self._path(key)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                meta = json.loads(fh.readline())
-                content = json.loads(fh.readline())
-            return ChatResponse(
-                content=content,
-                prompt_tokens=meta["prompt_tokens"],
-                completion_tokens=meta["completion_tokens"],
-                latency=0.0,
-                backend_tag=self.tag,
-            )
+    def _response(self, record) -> ChatResponse:
+        return ChatResponse(
+            content=record["content"],
+            prompt_tokens=record["prompt_tokens"],
+            completion_tokens=record["completion_tokens"],
+            latency=0.0,
+            backend_tag=self.tag,
+        )
+
+    def _call(self, key, request, role) -> ChatResponse:
+        """Ask the inner backend and append its reply to the log."""
         resp = self.inner.complete(request, role)
-        meta = {
+        record = {
+            "key": key,
             "model_id": request.model_id,
             "role": role,
             "prompt_tokens": resp.prompt_tokens,
             "completion_tokens": resp.completion_tokens,
             "source_tag": resp.backend_tag,
+            "content": resp.content,
         }
+        line = (json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n").encode("ascii")
         with self._lock:
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(meta, sort_keys=True) + "\n")
-                fh.write(json.dumps(resp.content, ensure_ascii=False) + "\n")
-            os.replace(tmp, path)
+            if key not in self._records:
+                if self._fd is None:
+                    self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+                    self._close_fd = weakref.finalize(self, os.close, self._fd)
+                while line:
+                    line = line[os.write(self._fd, line):]
+                self._records[key] = record
         return resp
+
+    def complete(self, request: ChatRequest, role: str | None = None) -> ChatResponse:
+        key = cache_key(request)
+        record = self._records.get(key)
+        if record is None:
+            with self._lock:
+                record = self._records.get(key)
+                flight = self._flights.get(key)
+                leader = record is None and flight is None
+                if leader:
+                    flight = self._flights[key] = threading.Event()
+            if leader:
+                try:
+                    return self._call(key, request, role)
+                finally:
+                    with self._lock:
+                        del self._flights[key]
+                    flight.set()
+            if record is None:
+                flight.wait()
+                record = self._records.get(key)
+                if record is None:  # the leader's call raised
+                    return self._call(key, request, role)
+        return self._response(record)
 
 
 class RemoteBackend:

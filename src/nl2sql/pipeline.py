@@ -147,8 +147,9 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
 
     Stage order: schema_linking, subproblem, query_plan (unless skipped),
     sql, sanitize, execute; then correction rounds of correction_plan,
-    correction_sql, sanitize, execute until the trigger stops firing or
-    the round budget is spent.
+    correction_sql, sanitize, execute until the trigger stops firing, the
+    round budget is spent, or a round would resend the (failed SQL,
+    feedback) pair of an earlier round.
 
     The gold query is executed first unless ``gold_outcome`` already holds
     its result on ``db_file``; the result is returned as
@@ -237,15 +238,17 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
 
     query, outcome, ea = attempt(raw_sql)
 
-    rounds = 0
+    sent = set()  # (failed_sql, feedback) of every correction round so far
     while (
         trigger_fires(outcome, ea)
         and not config.skip_correction
-        and rounds < config.max_correction_attempts
+        and len(sent) < config.max_correction_attempts
     ):
-        rounds += 1
         failed_sql = query.text if query else "(no executable SQL was produced)"
         feedback = _feedback_text(outcome, ea, gold_outcome is not None)
+        if (failed_sql, feedback) in sent:
+            break  # that prompt was sent already; its reply would repeat too
+        sent.add((failed_sql, feedback))
         try:
             plan = agents.run_correction_plan(
                 question, schema_text, failed_sql, feedback, taxonomy,

@@ -22,7 +22,7 @@ from nl2sql.execution import (
     has_top_level_order_by,
     sanitize,
 )
-from nl2sql.gateway import Gateway, ModelRoute, ReplayBackend
+from nl2sql.gateway import Gateway, ModelRoute, ReplayBackend, read_replay_log
 from nl2sql.pipeline import PipelineConfig, run_pipeline
 from nl2sql.taxonomy import default_taxonomy, parse_codes, render_summary
 
@@ -93,7 +93,10 @@ def test_acceptance_pipeline_control_flow(music_schema, fixture_db):
 
     exhausted = _run(
         music_schema, fixture_db,
-        scripted_gateway([WRONG], correction_sql_responses=[WRONG] * 3),
+        scripted_gateway([WRONG], correction_sql_responses=[
+            "SELECT COUNT(*) FROM stadium", "SELECT COUNT(*) FROM track",
+            "SELECT COUNT(*) FROM genre",
+        ]),
         max_correction_attempts=3,
     )
     assert exhausted.trace.status == "exhausted"
@@ -242,12 +245,12 @@ def test_acceptance_replay_determinism(mini_dataset, tmp_path):
 
     # warm the cache, then run twice against it
     evaluate(samples, schemas, db_paths, config, replay_gateway(), parallelism=2)
-    entries = len(os.listdir(cache_dir))
+    entries = len(read_replay_log(cache_dir))
     assert entries > 0
 
     first = evaluate(samples, schemas, db_paths, config, replay_gateway(),
                      parallelism=2)
-    assert len(os.listdir(cache_dir)) == entries  # pure cache hits
+    assert len(read_replay_log(cache_dir)) == entries  # pure cache hits
     second = evaluate(samples, schemas, db_paths, config, replay_gateway(),
                       parallelism=2)
 

@@ -208,6 +208,18 @@ def test_eval_missing_questions_file(tmp_path, eval_assets):
     assert code == 2
 
 
+def test_eval_non_text_query_exits_2(tmp_path, eval_assets, capsys):
+    _, tables, db_root, config = eval_assets
+    questions = tmp_path / "bad.json"
+    questions.write_text(json.dumps([{"question": "q", "query": None, "db_id": "music"}]))
+    code = main([
+        "eval", "--config", config, "--questions", str(questions),
+        "--tables", tables, "--db-root", db_root, "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "malformed entry 0: 'query' is not text" in capsys.readouterr().err
+
+
 def test_trace_inspection(tmp_path, fixture_db, capsys):
     config = write_config(tmp_path, ask_scripts("SELECT COUNT(*) FROM singer"))
     trace_file = tmp_path / "trace.jsonl"

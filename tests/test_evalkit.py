@@ -104,6 +104,19 @@ def test_load_dataset_unknown_db(tmp_path, fixture_tables_file, db_root):
         load_dataset(str(path), fixture_tables_file, db_root)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("query", None), ("question", None), ("question", ["q"]), ("db_id", 7),
+])
+def test_load_dataset_rejects_non_text_field(tmp_path, fixture_tables_file, db_root,
+                                             field, value):
+    entry = {"question": "q", "query": "SELECT 1", "db_id": "music"}
+    entry[field] = value
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(DatasetError, match=f"entry 0: '{field}' is not text"):
+        load_dataset(str(path), fixture_tables_file, db_root)
+
+
 def test_load_dataset_missing_db_file(tmp_path, questions_file, fixture_tables_file):
     with pytest.raises(DatasetError, match="database file missing"):
         load_dataset(questions_file, fixture_tables_file, tmp_path)
@@ -200,7 +213,9 @@ def test_evaluate_mini_batch(dataset):
     assert agg["stage_error_count"] == 0
     by_index = {r.index: r for r in report.rows}
     assert by_index[8].ea is True and by_index[8].attempts == 2
-    assert by_index[9].ea is False and by_index[9].attempts == 4
+    # the track fix repeats the failed SQL, so a second round would resend
+    # the first round's prompt: the loop stops after one round
+    assert by_index[9].ea is False and by_index[9].attempts == 2
 
 
 def test_evaluate_parallel_matches_serial(dataset):
@@ -350,6 +365,22 @@ def test_exact_match_diagnostic(dataset):
     by_index = {r.index: r for r in report.rows}
     assert by_index[0].exact_match is True  # echoed gold verbatim
     assert by_index[9].exact_match is False
+
+
+def test_exact_match_keeps_literal_case(tmp_path, fixture_tables_file, db_root):
+    """A prediction that differs from the gold only in a literal's case is
+    neither an EA hit nor an exact match; keyword case still folds."""
+    gold = "SELECT name FROM stadium WHERE city = 'leeds'"
+    question = "What are the names of stadiums in leeds?"
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"question": question, "query": gold, "db_id": "music"}]))
+    samples, schemas, db_paths = load_dataset(str(path), fixture_tables_file, db_root)
+    for predicted, exact in (("SELECT name FROM stadium WHERE city = 'Leeds'", False),
+                             ("select NAME from stadium  where city = 'leeds';", True)):
+        gateway = question_keyed_gateway({question: predicted})
+        report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                          gateway, parallelism=1)
+        assert report.rows[0].exact_match is exact
 
 
 def test_costs_use_price_table(dataset):

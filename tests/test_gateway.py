@@ -1,4 +1,8 @@
 import json
+import os
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -7,6 +11,7 @@ import hypothesis.strategies as st
 from nl2sql.gateway import (
     AuthError,
     ChatRequest,
+    ChatResponse,
     Gateway,
     GatewayError,
     ModelRoute,
@@ -15,7 +20,10 @@ from nl2sql.gateway import (
     ReplayBackend,
     ScriptedBackend,
     ScriptedMissError,
+    TransportError,
     cache_key,
+    read_replay_log,
+    replay_log_path,
 )
 
 from conftest import CallCountingBackend
@@ -92,6 +100,131 @@ def test_replay_hit_is_byte_identical(tmp_path):
     assert second.backend_tag == "replay"
     assert second.content == first.content
     assert second.content.encode("utf-8") == first.content.encode("utf-8")
+
+
+@pytest.mark.parametrize("content", [
+    "astral \U0001F600 \U00010348 text",
+    "lone surrogate \ud800 and \udfff",
+])
+def test_replay_second_backend_hits_byte_identically(tmp_path, content):
+    cache_dir = tmp_path / "cache"
+    inner = CallCountingBackend(ScriptedBackend(scripts={"sql": [content]}))
+    assert ReplayBackend(inner, cache_dir).complete(make_request(), "sql").content == content
+    replayed = ReplayBackend(inner, cache_dir).complete(make_request(), "sql")
+    assert inner.calls == 1
+    assert replayed.backend_tag == "replay"
+    assert replayed.content == content
+    assert replayed.content.encode("utf-8", "surrogatepass") == content.encode(
+        "utf-8", "surrogatepass")
+
+
+def test_replay_skips_torn_line_and_appends_after_it(tmp_path):
+    cache_dir = tmp_path / "cache"
+    inner = CallCountingBackend(ScriptedBackend(scripts={"sql": ["one", "two"]}))
+    first, second = make_request(), make_request(messages=[("user", "other")])
+    ReplayBackend(inner, cache_dir).complete(first, "sql")
+    with open(replay_log_path(cache_dir), "a", encoding="ascii") as fh:
+        fh.write('[1, 2]\n{"key": "k"}\n{"key": "')  # two foreign lines, torn tail
+    backend = ReplayBackend(inner, cache_dir)
+    assert backend.complete(second, "sql").content == "two"
+    backend.close()
+    assert inner.calls == 2
+    reopened = ReplayBackend(inner, cache_dir)
+    assert reopened.complete(first, "sql").content == "one"
+    assert reopened.complete(second, "sql").content == "two"
+    assert inner.calls == 2
+    assert len(read_replay_log(cache_dir)) == 2
+
+
+def test_replay_first_record_of_a_key_wins(tmp_path):
+    cache_dir = tmp_path / "cache"
+    request = make_request()
+    shared = [ReplayBackend(ScriptedBackend(scripts={"sql": [text]}), cache_dir)
+              for text in ("first", "second")]
+    for backend in shared:  # both load an empty log, so both miss and append
+        backend.complete(request, "sql")
+    assert len(read_replay_log(cache_dir)) == 1
+    with open(replay_log_path(cache_dir), encoding="ascii") as fh:
+        assert len(fh.readlines()) == 2
+    fresh = ReplayBackend(ScriptedBackend(), cache_dir)
+    assert fresh.complete(request, "sql").content == "first"
+
+
+def test_replay_warm_run_leaves_one_file(tmp_path):
+    cache_dir = tmp_path / "cache"
+    requests = [make_request(messages=[("user", f"q{i}")]) for i in range(5)]
+    inner = CallCountingBackend(ScriptedBackend(scripts={"sql": ["SELECT 1"] * 5}))
+    for _ in range(2):
+        backend = ReplayBackend(inner, cache_dir)
+        for request in requests:
+            backend.complete(request, "sql")
+    assert inner.calls == 5
+    assert os.listdir(cache_dir) == ["replay.jsonl"]
+
+
+class GatedBackend:
+    """Blocks every call until ``release`` is set; the calls listed in
+    ``failing`` (by arrival number, from 1) raise TransportError."""
+
+    def __init__(self, failing=()):
+        self.release = threading.Event()
+        self.failing = set(failing)
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request, role=None):
+        with self._lock:
+            self.calls += 1
+            number = self.calls
+        self.release.wait(5)
+        if number in self.failing:
+            raise TransportError("upstream reset")
+        return ChatResponse(content="SELECT 1", prompt_tokens=3, completion_tokens=2)
+
+
+def _complete_in_threads(backend):
+    outcomes = []
+
+    def call():
+        try:
+            outcomes.append(backend.complete(make_request(), "sql").content)
+        except TransportError as exc:
+            outcomes.append(exc)
+
+    threads = [threading.Thread(target=call) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    return threads, outcomes
+
+
+def test_replay_single_flight_for_identical_misses(tmp_path):
+    inner = GatedBackend()
+    backend = ReplayBackend(inner, tmp_path / "cache")
+    threads, outcomes = _complete_in_threads(backend)
+    time.sleep(0.2)  # let every thread reach the backend
+    inner.release.set()
+    for thread in threads:
+        thread.join(5)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == ["SELECT 1"] * 4
+    assert inner.calls == 1
+    assert len(read_replay_log(tmp_path / "cache")) == 1
+
+
+def test_replay_single_flight_leader_error_releases_waiters(tmp_path):
+    inner = GatedBackend(failing={1})
+    backend = ReplayBackend(inner, tmp_path / "cache")
+    threads, outcomes = _complete_in_threads(backend)
+    time.sleep(0.2)
+    inner.release.set()
+    for thread in threads:
+        thread.join(5)
+    assert not any(thread.is_alive() for thread in threads)
+    errors = [o for o in outcomes if isinstance(o, TransportError)]
+    assert len(errors) == 1
+    assert sorted(o for o in outcomes if isinstance(o, str)) == ["SELECT 1"] * 3
+    assert 2 <= inner.calls <= 4  # each waiter called for itself
+    assert len(read_replay_log(tmp_path / "cache")) == 1  # the error was not cached
 
 
 class FakeResponse:
@@ -221,3 +354,44 @@ def test_gateway_routes_role_to_backend():
 def test_route_requires_all_roles():
     with pytest.raises(ValueError):
         ModelRoute({"sql": ("b", "m")})
+
+
+class QuestionEcho:
+    """Answers "echo <last message>" after a short pause."""
+
+    def complete(self, request, role=None):
+        time.sleep(0.001)
+        return ChatResponse(content="echo " + request.messages[-1][1])
+
+
+def test_replay_stress_one_inner_call_per_key(tmp_path):
+    """16 threads over 6 shared keys with a tiny switch interval: a lost
+    update in the single-flight bookkeeping shows as an extra inner call,
+    a missing record or a wrong reply."""
+    keys = [f"q{i}" for i in range(6)]
+    inner = CallCountingBackend(QuestionEcho())
+    backend = ReplayBackend(inner, tmp_path / "cache")
+    wrong = []
+
+    def worker(offset):
+        for key in keys[offset % 6:] + keys[:offset % 6]:
+            reply = backend.complete(make_request(messages=[("user", key)]), "sql")
+            if reply.content != "echo " + key:
+                wrong.append(reply.content)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert inner.calls == len(keys)
+    assert sorted(r["content"] for r in read_replay_log(tmp_path / "cache").values()) == [
+        "echo " + key for key in keys]
+

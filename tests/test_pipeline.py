@@ -1,5 +1,7 @@
 import pytest
 
+from nl2sql import pipeline
+from nl2sql.execution import ExecutionOutcome, execute
 from nl2sql.pipeline import (
     PipelineConfig,
     PipelineTrace,
@@ -15,6 +17,12 @@ QUESTION = "How many singers do we have?"
 GOLD = "SELECT COUNT(*) FROM singer"
 CORRECT = "SELECT COUNT(*) FROM singer"
 WRONG = "SELECT COUNT(*) FROM concert"  # executes fine, result differs
+# more wrong candidates, each distinct, so no correction prompt repeats
+OTHER_WRONGS = [
+    "SELECT COUNT(*) FROM stadium",
+    "SELECT COUNT(*) FROM track",
+    "SELECT COUNT(*) FROM genre",
+]
 
 
 def run(music_schema, fixture_db, gateway, **config_kw):
@@ -52,14 +60,46 @@ def test_fail_then_fix_is_one_round(music_schema, fixture_db):
 
 
 def test_always_wrong_exhausts_at_bound(music_schema, fixture_db):
-    gateway = scripted_gateway(
-        [WRONG], correction_sql_responses=[WRONG, WRONG, WRONG]
-    )
+    gateway = scripted_gateway([WRONG], correction_sql_responses=OTHER_WRONGS)
     result = run(music_schema, fixture_db, gateway, max_correction_attempts=3)
     assert result.trace.status == "exhausted"
     assert len(result.trace.attempts) == 1 + 3
     assert stage_roles(result).count("correction_plan") == 3
     assert result.ea is False
+
+
+def test_alternating_wrongs_stop_before_resent_round(music_schema, fixture_db):
+    """w0, w1, w0: a third round would resend round 1's (failed SQL,
+    feedback) prompt, so the loop stops with the repeat executed."""
+    w0, w1 = WRONG, OTHER_WRONGS[0]
+    gateway = scripted_gateway([w0], correction_sql_responses=[w1, w0, w1])
+    result = run(music_schema, fixture_db, gateway, max_correction_attempts=3)
+    assert result.trace.status == "exhausted"
+    assert [a.sql for a in result.trace.attempts] == [w0, w1, w0]
+    assert result.trace.attempts[2].repeat_of_earlier
+    assert stage_roles(result).count("correction_plan") == 2
+    assert gateway.backends["test"].calls == 4 + 2 * 2  # a full third round adds 2
+    assert result.ea is False
+
+
+def test_repeated_candidate_still_executes(music_schema, fixture_db, monkeypatch):
+    """A repeated candidate is executed again, so a transient failure of
+    its first run can clear."""
+    calls = []
+
+    def flaky_execute(db_file, query, timeout=30.0):
+        calls.append(query.text)
+        if len(calls) == 2:  # the first candidate; call 1 runs the gold query
+            return ExecutionOutcome.timeout()
+        return execute(db_file, query, timeout=timeout)
+
+    monkeypatch.setattr(pipeline, "execute", flaky_execute)
+    gateway = scripted_gateway([CORRECT], correction_sql_responses=[CORRECT])
+    result = run(music_schema, fixture_db, gateway)
+    assert [a.status for a in result.trace.attempts] == ["timeout", "success"]
+    assert result.trace.attempts[1].repeat_of_earlier
+    assert result.trace.status == "solved"
+    assert result.ea is True
 
 
 def test_attempt_bound_holds_for_any_budget(music_schema, fixture_db):
