@@ -25,7 +25,8 @@ from .gateway import (
     read_replay_log,
     replay_log_path,
 )
-from .pipeline import PipelineConfig, run_pipeline, load_traces
+from .jsonl import AppendLog
+from .pipeline import PipelineConfig, append_trace, load_traces, run_pipeline
 from .schema import SchemaError, introspect_database, load_tables_json
 from .taxonomy import default_taxonomy, render_summary
 
@@ -170,9 +171,8 @@ def cmd_ask(args) -> int:
         gold_query=args.gold,
     )
     if args.trace_file:
-        from .pipeline import append_trace
-
-        append_trace(result.trace, args.trace_file)
+        with AppendLog(args.trace_file) as log:
+            append_trace(result.trace, log)
     if result.trace.status == "stage_error":
         print("stage error: " + "; ".join(result.trace.warnings), file=sys.stderr)
         return EXIT_STAGE_ERRORS

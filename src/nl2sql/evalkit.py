@@ -11,12 +11,12 @@ import json
 import logging
 import os
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from decimal import Decimal, ROUND_HALF_UP
 
-from .execution import _outside_literals
+from . import jsonl
+from .execution import _outside_literals, connect_readonly
 from .pipeline import append_trace, gold_sql, run_pipeline
 
 logger = logging.getLogger(__name__)
@@ -150,10 +150,16 @@ def _normalize_sql(text: str) -> str:
     """Whitespace collapsed and lowercased outside string literals, so
     'Leeds' and 'leeds' stay apart."""
     text = re.sub(r"\s+", " ", text.strip().rstrip(";"))
-    chars = list(text)
-    for i, ch, _ in _outside_literals(text):
-        chars[i] = ch.lower()
-    return "".join(chars)
+    parts = []
+    end = 0
+    for start, run in _outside_literals(text):
+        # str.lower on a whole run would lower a final capital sigma
+        # differently from the same letter alone
+        lowered = run.lower() if run.isascii() else "".join(map(str.lower, run))
+        parts += (text[end:start], lowered)
+        end = start + len(run)
+    parts.append(text[end:])
+    return "".join(parts)
 
 
 def _row_cost(trace, prices: dict) -> float:
@@ -166,7 +172,7 @@ def _row_cost(trace, prices: dict) -> float:
 
 
 def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices,
-             gold_outcome=None) -> tuple:
+             gold_outcome=None, connection=None) -> tuple:
     """(SampleRow, PipelineResult) for one sample; the result is None when
     the sample crashed."""
     try:
@@ -174,6 +180,7 @@ def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices,
             sample.question, schema, db_path, config, gateway,
             gold_query=sample.gold_query, taxonomy=taxonomy,
             sample_id=str(sample.index), gold_outcome=gold_outcome,
+            connection=connection,
         )
     except Exception as exc:  # per-sample isolation: score and continue
         logger.exception("sample %d crashed", sample.index)
@@ -207,28 +214,13 @@ def _gold_key(sample) -> tuple:
 
 
 def _read_checkpoint(path) -> dict:
-    """Checkpointed rows by index. A line that is not valid JSON, such as the
-    torn tail a kill mid-write leaves, is skipped so its sample runs again;
-    the file is then ended with a newline so the next row starts its own
-    line."""
-    rows = {}
-    if not (path and os.path.exists(path)):
-        return rows
-    line = "\n"
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                logger.warning("checkpoint %s: skipping unreadable line %d", path, number)
-                continue
-            rows[data["index"]] = SampleRow(**data)  # last write wins
-    if not line.endswith("\n"):
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("\n")
-    return rows
+    """Checkpointed rows by index; for an index recorded twice the last row
+    wins. An unreadable line, such as the torn tail a kill mid-write leaves,
+    is skipped, so its sample runs again."""
+    if not path:
+        return {}
+    return {row.index: row
+            for row in jsonl.read_records(path, lambda data: SampleRow(**data), "checkpoint")}
 
 
 def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
@@ -240,10 +232,14 @@ def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
     run back to back, in batch order, on one of the ``parallelism``
     workers: the first executes the gold query and the rest reuse its
     result, which is dropped when the group ends. Groups start in order of
-    their first sample.
+    their first sample. Each group runs its queries on one read-only
+    connection, opened when the group starts and closed when it ends, so at
+    most ``parallelism`` are open; the database files must not change
+    during the run.
 
     Resumable: rows already in the checkpoint file are not re-run, so an
-    interrupted batch picks up where it stopped.
+    interrupted batch picks up where it stopped. The checkpoint and trace
+    files are held open for the run and closed before this returns.
     """
     prices = prices or {}
     done = _read_checkpoint(checkpoint_path)
@@ -252,31 +248,46 @@ def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
         if sample.index not in done:
             groups.setdefault(_gold_key(sample), []).append(sample)
 
-    checkpoint_lock = threading.Lock()
+    checkpoint = jsonl.AppendLog(checkpoint_path) if checkpoint_path else None
+    traces = jsonl.AppendLog(trace_path) if trace_path else None
 
     def work(group):
-        group_rows = []
-        gold_outcome = None
-        for sample in group:
-            row, result = _run_one(
-                sample, schemas[sample.db_id], db_paths[sample.db_id],
-                config, gateway, taxonomy, prices, gold_outcome=gold_outcome,
-            )
-            if result is not None:
-                gold_outcome = result.gold_outcome
-                if trace_path:
-                    append_trace(result.trace, trace_path)
-            if checkpoint_path:
-                with checkpoint_lock:
-                    with open(checkpoint_path, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps(asdict(row), sort_keys=True) + "\n")
-            group_rows.append(row)
-        return group_rows
+        db_path = db_paths[group[0].db_id]
+        try:
+            connection = connect_readonly(db_path)
+        except OSError:
+            # each sample opens the file itself, fails and is scored alone
+            connection = None
+        try:
+            group_rows = []
+            gold_outcome = None
+            for sample in group:
+                row, result = _run_one(
+                    sample, schemas[sample.db_id], db_path, config, gateway,
+                    taxonomy, prices, gold_outcome=gold_outcome,
+                    connection=connection,
+                )
+                if result is not None:
+                    gold_outcome = result.gold_outcome
+                    if traces is not None:
+                        append_trace(result.trace, traces)
+                if checkpoint is not None:
+                    checkpoint.append(vars(row))
+                group_rows.append(row)
+            return group_rows
+        finally:
+            if connection is not None:
+                connection.close()
 
     rows = list(done.values())
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        for group_rows in pool.map(work, groups.values()):
-            rows.extend(group_rows)
+    try:
+        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+            for group_rows in pool.map(work, groups.values()):
+                rows.extend(group_rows)
+    finally:
+        for log in (checkpoint, traces):
+            if log is not None:
+                log.close()
 
     wanted = {s.index for s in samples}
     rows = sorted((r for r in rows if r.index in wanted), key=lambda r: r.index)

@@ -40,7 +40,7 @@ class ExecutionOutcome:
 
 
 _STATEMENT_START = re.compile(r"\b(SELECT|WITH|VALUES)\b", re.IGNORECASE)
-_ORDER_BY = re.compile(r"ORDER\s+BY\b")
+_ORDER_BY_OR_PAREN = re.compile(r"[()]|ORDER\s+BY\b")
 _FENCE = re.compile(r"```[ \t]*(?:sql|sqlite|SQL)?\s*\n?(.*?)```", re.DOTALL)
 
 # deliberately excludes words common in English prose (is, in, on, and, or)
@@ -58,31 +58,27 @@ def _line_is_prose(line: str) -> bool:
     return not any(w.lower() in _SQL_TOKENS for w in words)
 
 
+# A literal ('...' or "...", unterminated to the end of the text) or a
+# maximal run of text outside one.
+_LITERAL_OR_RUN = re.compile(r"'[^']*'?|\"[^\"]*\"?|[^'\"]+")
+
+
 def _outside_literals(text: str):
-    """Yield (index, char, paren depth) for every character outside a '...'
-    or "..." literal; the quote characters themselves are not yielded."""
-    quote = None
-    depth = 0
-    for i, ch in enumerate(text):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-        else:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth = max(0, depth - 1)
-            yield i, ch, depth
+    """Yield (start, run) for each maximal run of ``text`` outside a '...'
+    or "..." literal; the literals and their quote characters are left out."""
+    for match in _LITERAL_OR_RUN.finditer(text):
+        run = match.group()
+        if run[0] not in "'\"":
+            yield match.start(), run
 
 
 def _cut_at_statement_end(text: str) -> tuple:
     """Return (statement, had_semicolon) up to the first semicolon that is
     outside any string literal."""
-    for i, ch, _ in _outside_literals(text):
-        if ch == ";":
-            return text[:i], True
+    for start, run in _outside_literals(text):
+        i = run.find(";")
+        if i >= 0:
+            return text[:start + i], True
     return text, False
 
 
@@ -156,22 +152,39 @@ def _classify_error(message: str) -> str:
     return "other"
 
 
-def execute(db_file, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutcome:
+def connect_readonly(db_file) -> sqlite3.Connection:
+    """A connection to ``db_file`` that cannot write: opened with the
+    ``mode=ro`` URI and set ``query_only``. Raises OSError when the file
+    cannot be opened."""
+    try:
+        conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
+        conn.execute("PRAGMA query_only=1")
+    except sqlite3.Error as exc:
+        raise OSError(f"cannot open database {db_file}: {exc}") from exc
+    return conn
+
+
+def execute(db_file, query: SqlQuery, timeout: float = 30.0,
+            connection=None) -> ExecutionOutcome:
     """Run a sanitized query read-only and materialize canonical rows.
 
-    Engine errors are classified into the outcome, never raised past this
-    boundary; only an unreadable file raises.
+    With ``connection`` (from ``connect_readonly``, owned by the caller)
+    the query runs on it, which must be open on ``db_file``; otherwise a
+    connection is opened for this query and closed after it. The timeout
+    counts from this call on either.
+
+    Engine errors, and query text SQLite cannot take (a lone surrogate),
+    are classified into the outcome, never raised past this boundary; only
+    an unreadable file raises.
     """
     if not _STATEMENT_START.match(query.text):
         return ExecutionOutcome.failure("other", "only SELECT/WITH/VALUES statements are executed")
-    try:
-        conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
-    except sqlite3.Error as exc:
-        raise OSError(f"cannot open database {db_file}: {exc}") from exc
+    conn = connection if connection is not None else connect_readonly(db_file)
     deadline = time.monotonic() + timeout
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
+    cursor = conn.cursor()
     try:
-        cursor = conn.execute(query.text)
+        cursor.execute(query.text)
         raw_rows = cursor.fetchall()
         column_count = len(cursor.description) if cursor.description else 0
         rows = canonical_rows(raw_rows)
@@ -183,18 +196,30 @@ def execute(db_file, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutcome
         return ExecutionOutcome.failure(_classify_error(message), message)
     except sqlite3.Error as exc:
         return ExecutionOutcome.failure(_classify_error(str(exc)), str(exc))
+    except UnicodeEncodeError as exc:
+        return ExecutionOutcome.failure("other", f"query text cannot be encoded as UTF-8: {exc}")
     finally:
-        conn.close()
+        cursor.close()
+        if connection is None:
+            conn.close()
+        else:
+            conn.set_progress_handler(None, 0)
 
 
 def has_top_level_order_by(query: SqlQuery) -> bool:
     """True iff ORDER BY appears at the outermost statement level, outside
     subqueries, parenthesized set-operands, and string literals."""
-    upper = query.text.upper()
-    for i, _, depth in _outside_literals(query.text):
-        if (depth == 0 and _ORDER_BY.match(upper, i)
-                and (i == 0 or not upper[i - 1].isalnum())):
-            return True
+    depth = 0
+    for _, run in _outside_literals(query.text):
+        upper = run.upper()
+        for match in _ORDER_BY_OR_PAREN.finditer(upper):
+            token, i = match.group(), match.start()
+            if token == "(":
+                depth += 1
+            elif token == ")":
+                depth = max(0, depth - 1)
+            elif depth == 0 and (i == 0 or not upper[i - 1].isalnum()):
+                return True
     return False
 
 

@@ -14,8 +14,9 @@ import os
 import random
 import threading
 import time
-import weakref
 from dataclasses import dataclass
+
+from . import jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +107,9 @@ def cache_key(request: ChatRequest) -> str:
     """Deterministic digest over model, messages, and temperature.
 
     Insensitive to max_output_tokens so tuning the cap does not invalidate
-    a replay cache.
+    a replay cache. Text is hashed as UTF-8 with lone surrogates passed
+    through, so any ``str`` has a key and valid text keeps the plain UTF-8
+    one.
     """
     payload = json.dumps(
         [request.model_id, round(request.temperature, 6),
@@ -114,7 +117,7 @@ def cache_key(request: ChatRequest) -> str:
         ensure_ascii=False,
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class ScriptedBackend:
@@ -166,38 +169,24 @@ def replay_log_path(cache_dir) -> str:
     return os.path.join(str(cache_dir), "replay.jsonl")
 
 
-def _load_log(path) -> tuple:
-    """(cache_key -> record, whether the log ends in a newline) for the log
-    at ``path``. A line that does not decode to a record, such as the torn
-    tail a kill mid-write leaves, is skipped; for a key recorded twice the
-    first record wins."""
-    records = {}
-    line = b"\n"
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        return records, True
-    with fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                record = json.loads(line)
-                valid = (isinstance(record["key"], str)
-                         and isinstance(record["content"], str)
-                         and isinstance(record["prompt_tokens"], int)
-                         and isinstance(record["completion_tokens"], int))
-            except (ValueError, LookupError, TypeError):
-                valid = False
-            if valid:
-                records.setdefault(record["key"], record)
-            elif line.strip():
-                logger.warning("replay log %s: skipping unreadable line %d", path, number)
-    return records, line.endswith(b"\n")
+def _replay_record(value) -> dict:
+    """``value`` when it is a replay record; raises TypeError otherwise."""
+    if not (isinstance(value["key"], str)
+            and isinstance(value["content"], str)
+            and isinstance(value["prompt_tokens"], int)
+            and isinstance(value["completion_tokens"], int)):
+        raise TypeError("not a replay record")
+    return value
 
 
 def read_replay_log(cache_dir) -> dict:
     """cache_key -> record for every readable line of the replay log in
-    ``cache_dir``; empty when there is none."""
-    return _load_log(replay_log_path(cache_dir))[0]
+    ``cache_dir``; empty when there is none. For a key recorded twice the
+    first record wins."""
+    records = {}
+    for record in jsonl.read_records(replay_log_path(cache_dir), _replay_record, "replay log"):
+        records.setdefault(record["key"], record)
+    return records
 
 
 class ReplayBackend:
@@ -205,9 +194,9 @@ class ReplayBackend:
 
     The constructor reads the log into memory. A hit returns the recorded
     content byte-identically without touching the disk; a miss delegates to
-    the inner backend and appends one JSON line (ASCII-escaped, so any str
-    round-trips) in a single write to an O_APPEND descriptor, opened at the
-    first miss and closed by ``close`` or when the backend is collected.
+    the inner backend and appends one record to the log (``jsonl.AppendLog``:
+    opened at the first miss, closed by ``close`` or when the backend is
+    collected).
 
     Concurrent misses on one key make one inner call: the first caller
     makes it and the rest wait for its record (single-flight). If that call
@@ -221,21 +210,14 @@ class ReplayBackend:
         self.cache_dir = str(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
         self.path = replay_log_path(self.cache_dir)
-        self._records, complete = _load_log(self.path)
-        if not complete:
-            with open(self.path, "ab") as fh:
-                fh.write(b"\n")  # the next record starts its own line
+        self._records = read_replay_log(self.cache_dir)
+        self._log = jsonl.AppendLog(self.path)
         self._flights = {}  # cache_key -> Event set when its inner call ends
         self._lock = threading.Lock()
-        self._fd = None
-        self._close_fd = None  # weakref.finalize closing _fd
 
     def close(self) -> None:
         """Close the log descriptor; a later miss opens it again."""
-        with self._lock:
-            if self._fd is not None:
-                self._close_fd()
-                self._fd = None
+        self._log.close()
 
     def _response(self, record) -> ChatResponse:
         return ChatResponse(
@@ -258,14 +240,9 @@ class ReplayBackend:
             "source_tag": resp.backend_tag,
             "content": resp.content,
         }
-        line = (json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n").encode("ascii")
         with self._lock:
             if key not in self._records:
-                if self._fd is None:
-                    self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-                    self._close_fd = weakref.finalize(self, os.close, self._fd)
-                while line:
-                    line = line[os.write(self._fd, line):]
+                self._log.append(record)
                 self._records[key] = record
         return resp
 

@@ -6,11 +6,9 @@ sharing only immutable schema/taxonomy/config and the gateway.
 """
 
 import hashlib
-import json
-import threading
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
-from . import agents
+from . import agents, jsonl
 from .schema import render_schema_text
 from .execution import (
     SanitizeError,
@@ -64,7 +62,7 @@ class PipelineTrace:
                 prompt=prompt,
                 response=response.content,
                 artifact_digest=hashlib.sha256(
-                    response.content.encode("utf-8")
+                    response.content.encode("utf-8", "surrogatepass")
                 ).hexdigest()[:16],
                 model_id=model_id,
                 prompt_tokens=response.prompt_tokens,
@@ -142,7 +140,8 @@ def _feedback_text(outcome, ea, gold_present) -> str:
 
 def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
                  gold_query: str | None = None, taxonomy=None,
-                 sample_id: str = "", gold_outcome=None) -> PipelineResult:
+                 sample_id: str = "", gold_outcome=None,
+                 connection=None) -> PipelineResult:
     """Run the full agent pipeline for one question.
 
     Stage order: schema_linking, subproblem, query_plan (unless skipped),
@@ -155,6 +154,10 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     its result on ``db_file``; the result is returned as
     ``PipelineResult.gold_outcome`` either way, so a caller can hand it to
     the next sample with the same database and gold query.
+
+    With ``connection`` (``execution.connect_readonly`` on ``db_file``,
+    owned by the caller) every query runs on it; otherwise each query opens
+    its own.
     """
     if config.correction_trigger == "gold_mismatch" and not gold_query:
         raise ValueError("gold_mismatch trigger requires a gold query")
@@ -166,7 +169,8 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     if gold_query:
         gold = gold_sql(gold_query)
         if gold_outcome is None:
-            gold_outcome = execute(db_file, gold, timeout=config.timeout)
+            gold_outcome = execute(db_file, gold, timeout=config.timeout,
+                                   connection=connection)
         order_sensitive = has_top_level_order_by(gold)
     else:
         gold_outcome = None
@@ -220,7 +224,8 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
             )
             return None, None, None
         repeated = repeat_guard(previous_sqls, query.text)
-        outcome = execute(db_file, query, timeout=config.timeout)
+        outcome = execute(db_file, query, timeout=config.timeout,
+                          connection=connection)
         ea = verdict(outcome)
         trace.attempts.append(
             AttemptRecord(
@@ -269,17 +274,31 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     return PipelineResult(query, outcome, ea, trace, gold_outcome)
 
 
-_trace_write_lock = threading.Lock()
+def append_trace(trace: PipelineTrace, log: jsonl.AppendLog) -> None:
+    """Append one JSON line for ``trace`` to a trace log. The record is
+    built from the dataclasses' own fields without copying them, and decodes
+    equal to ``dataclasses.asdict(trace)``."""
+    log.append(dict(
+        vars(trace),
+        stages=[vars(stage) for stage in trace.stages],
+        attempts=[vars(attempt) for attempt in trace.attempts],
+    ))
 
 
-def append_trace(trace: PipelineTrace, path) -> None:
-    """Append one line-delimited JSON record per sample to a trace file."""
-    record = asdict(trace)
-    with _trace_write_lock:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+def _trace_record(value) -> dict:
+    """``value`` when it has a trace's top-level shape; raises TypeError
+    otherwise."""
+    if not (isinstance(value["sample_id"], str) and isinstance(value["status"], str)
+            and all(isinstance(value[k], list) for k in ("stages", "attempts", "warnings"))):
+        raise TypeError("not a trace record")
+    return value
 
 
 def load_traces(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """The readable trace records in a trace file, one per sample id: the
+    last one written, at the place of the first. Unreadable lines, such as
+    a torn last line, are skipped."""
+    traces = {}
+    for record in jsonl.read_records(path, _trace_record, "trace file"):
+        traces[record["sample_id"]] = record
+    return list(traces.values())

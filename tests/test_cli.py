@@ -236,6 +236,19 @@ def test_trace_inspection(tmp_path, fixture_db, capsys):
     assert "attempt 1" in out
 
 
+def test_trace_skips_torn_line(tmp_path, fixture_db, capsys):
+    config = write_config(tmp_path, ask_scripts("SELECT COUNT(*) FROM singer"))
+    trace_file = tmp_path / "trace.jsonl"
+    main(["ask", "--config", config, "--db-file", fixture_db,
+          "--question", "q", "--trace-file", str(trace_file)])
+    with open(trace_file, "a", encoding="ascii") as fh:
+        fh.write('{"sample_id": "q", "stages": [{"role": "sq')  # killed mid-write
+    capsys.readouterr()
+    assert main(["trace", "--trace-file", str(trace_file)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("=== sample q [solved] ===") == 1
+
+
 def test_trace_unknown_sample(tmp_path, fixture_db, capsys):
     config = write_config(tmp_path, ask_scripts("SELECT 1"))
     trace_file = tmp_path / "trace.jsonl"

@@ -1,10 +1,14 @@
 import json
 import os
+import sqlite3
+import sys
 import threading
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
+from nl2sql import evalkit
 from nl2sql.evalkit import (
     DatasetError,
     MetricsError,
@@ -18,7 +22,8 @@ from nl2sql.evalkit import (
 )
 from nl2sql import pipeline
 from nl2sql.gateway import ChatResponse, Gateway, ModelRoute, ScriptedBackend
-from nl2sql.pipeline import PipelineConfig, PipelineTrace, load_traces
+from nl2sql.jsonl import AppendLog
+from nl2sql.pipeline import PipelineConfig, PipelineTrace, append_trace, load_traces
 
 from conftest import (
     FULL_LINK_JSON,
@@ -349,12 +354,15 @@ def test_write_report_values_match(dataset, tmp_path):
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
                       new_gateway(), parallelism=1)
     paths = write_report(report, tmp_path / "out")
-    payload = json.loads(open(paths["json"]).read())
+    with open(paths["json"]) as fh:
+        payload = json.load(fh)
     assert payload["aggregates"] == report.aggregates
     assert len(payload["rows"]) == 10
-    csv_lines = open(paths["csv"]).read().splitlines()
+    with open(paths["csv"]) as fh:
+        csv_lines = fh.read().splitlines()
     assert len(csv_lines) == 11  # header + 10 rows
-    summary = open(paths["summary"]).read()
+    with open(paths["summary"]) as fh:
+        summary = fh.read()
     assert "90.00%" in summary
 
 
@@ -445,11 +453,11 @@ def gold_runs(monkeypatch):
     lock = threading.Lock()
     execute = pipeline.execute
 
-    def counting_execute(db_file, query, timeout=30.0):
+    def counting_execute(db_file, query, timeout=30.0, connection=None):
         if query.text.startswith("SELECT"):
             with lock:
                 counts[query.text] += 1
-        return execute(db_file, query, timeout=timeout)
+        return execute(db_file, query, timeout=timeout, connection=connection)
 
     monkeypatch.setattr(pipeline, "execute", counting_execute)
     return counts
@@ -523,3 +531,146 @@ def test_report_identical_across_parallelism_with_shared_golds(paired, tmp_path)
         write_report(report, tmp_path / str(parallelism))
     assert ((tmp_path / "1" / "report.json").read_bytes()
             == (tmp_path / "4" / "report.json").read_bytes())
+
+
+def test_resume_keeps_one_trace_per_sample(dataset, tmp_path):
+    samples, schemas, db_paths = dataset
+    checkpoint, traces = tmp_path / "rows.jsonl", tmp_path / "traces.jsonl"
+    evaluate(samples[:2], schemas, db_paths, PipelineConfig(), new_gateway(),
+             parallelism=1, checkpoint_path=str(checkpoint), trace_path=str(traces))
+    # a kill after sample 2's trace line and before its checkpoint row
+    with AppendLog(traces) as log:
+        append_trace(PipelineTrace(sample_id="2", status="stage_error"), log)
+
+    evaluate(samples[:4], schemas, db_paths, PipelineConfig(), new_gateway(),
+             parallelism=1, checkpoint_path=str(checkpoint), trace_path=str(traces))
+    lines = [json.loads(line) for line in traces.read_text().splitlines()]
+    assert [t["sample_id"] for t in lines] == ["0", "1", "2", "2", "3"]
+    records = load_traces(str(traces))
+    assert [t["sample_id"] for t in records] == ["0", "1", "2", "3"]
+    assert records[2]["status"] == "solved"
+
+
+def test_lone_surrogate_in_reply_yields_a_row(tmp_path, fixture_tables_file, db_root,
+                                               caplog):
+    question, gold = DATASET[0]
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"question": question, "query": gold, "db_id": "music"}]))
+    samples, schemas, db_paths = load_dataset(str(path), fixture_tables_file, db_root)
+    reply = gold + " -- \ud800"
+    checkpoint, traces = tmp_path / "rows.jsonl", tmp_path / "traces.jsonl"
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway({question: reply}), parallelism=1,
+                      checkpoint_path=str(checkpoint), trace_path=str(traces))
+    assert "crashed" not in caplog.text
+    row = report.rows[0]
+    assert row.final_sql == reply and row.valid is False and row.ea is False
+    assert [json.loads(line) for line in checkpoint.read_bytes().splitlines()] == [asdict(row)]
+    assert load_traces(str(traces))[0]["stages"][3]["response"] == reply
+
+
+# --- held connections and logs -------------------------------------------------
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """Counts the sqlite3 connections opened while the test runs: in total,
+    at most at once, and still open."""
+    counts = Counter()
+    lock = threading.Lock()
+    connect = sqlite3.connect
+
+    class Counted(sqlite3.Connection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            with lock:
+                counts["opened"] += 1
+                counts["open"] += 1
+                counts["peak"] = max(counts["peak"], counts["open"])
+
+        def close(self):
+            with lock:
+                counts["open"] -= 1
+            super().close()
+
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *args, **kwargs: connect(*args, factory=Counted, **kwargs))
+    return counts
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_one_connection_per_group_closed_when_it_ends(paired, connections, parallelism):
+    samples, schemas, db_paths = paired
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
+    assert [r.ea for r in report.rows] == PAIRED_EA
+    assert connections["opened"] == len(PAIRED_GOLDS)  # one per (db, gold) group
+    assert connections["peak"] <= parallelism
+    assert connections["open"] == 0
+
+
+def test_group_connection_closed_when_a_sample_crashes(paired, connections, caplog):
+    class CrashingBackend(QuestionKeyedBackend):
+        def complete(self, request, role=None):
+            if role == "sql" and self._question(request) in (PAIRED[0][0], PAIRED[2][0]):
+                raise RuntimeError("backend bug")
+            return super().complete(request, role)
+
+    samples, schemas, db_paths = paired
+    gateway = Gateway(backends={"t": CrashingBackend(PAIRED_SQL)},
+                      route=ModelRoute.uniform("t", "fixture-model"))
+    evaluate(samples, schemas, db_paths, PipelineConfig(), gateway, parallelism=2)
+    assert "sample 0 crashed" in caplog.text and "sample 2 crashed" in caplog.text
+    assert connections["opened"] == len(PAIRED_GOLDS)
+    assert connections["open"] == 0
+
+
+def test_logs_hold_whole_lines_under_parallelism_8(tmp_path, fixture_tables_file, db_root):
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"question": q, "query": gold, "db_id": "music"}
+                                for _ in range(6) for q, gold in DATASET]))
+    samples, schemas, db_paths = load_dataset(str(path), fixture_tables_file, db_root)
+    checkpoint, traces = tmp_path / "rows.jsonl", tmp_path / "traces.jsonl"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = evaluate(samples, schemas, db_paths, PipelineConfig(), new_gateway(),
+                          parallelism=8, checkpoint_path=str(checkpoint),
+                          trace_path=str(traces))
+    finally:
+        sys.setswitchinterval(interval)
+    rows = {row.index: asdict(row) for row in report.rows}
+    checkpointed = [json.loads(line) for line in checkpoint.read_bytes().splitlines()]
+    assert sorted(r["index"] for r in checkpointed) == list(range(len(samples)))
+    assert all(r == rows[r["index"]] for r in checkpointed)
+    traced = [json.loads(line) for line in traces.read_bytes().splitlines()]
+    assert sorted(int(t["sample_id"]) for t in traced) == list(range(len(samples)))
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd (Linux)")
+def test_no_descriptor_left_open_after_evaluate(dataset, tmp_path, monkeypatch):
+    samples, schemas, db_paths = dataset
+    before = _open_descriptors()
+    evaluate(samples, schemas, db_paths, PipelineConfig(), new_gateway(), parallelism=4,
+             checkpoint_path=str(tmp_path / "a.jsonl"), trace_path=str(tmp_path / "a.t"))
+    assert _open_descriptors() == before
+
+    calls = Counter()
+
+    def append_then_fail(trace, log):
+        calls["n"] += 1
+        if calls["n"] > 2:  # both logs are open by now
+            raise OSError("disk full")
+        append_trace(trace, log)
+
+    monkeypatch.setattr(evalkit, "append_trace", append_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        evaluate(samples, schemas, db_paths, PipelineConfig(), new_gateway(),
+                 parallelism=1, checkpoint_path=str(tmp_path / "b.jsonl"),
+                 trace_path=str(tmp_path / "b.t"))
+    assert (tmp_path / "b.jsonl").exists() and (tmp_path / "b.t").exists()
+    assert _open_descriptors() == before

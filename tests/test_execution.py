@@ -1,17 +1,22 @@
+import re
 import sqlite3
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from nl2sql.evalkit import _normalize_sql
 from nl2sql.execution import (
     ExecutionOutcome,
     SanitizeError,
     SqlQuery,
+    _cut_at_statement_end,
     canonical_rows,
     canonical_value,
     compare_results,
+    connect_readonly,
     execute,
     has_top_level_order_by,
     sanitize,
@@ -156,6 +161,64 @@ def test_execute_write_via_cte_fails_readonly(guarded_db):
 def test_execute_unreadable_file(tmp_path):
     with pytest.raises(OSError):
         execute(tmp_path / "missing" / "no.sqlite", SqlQuery("SELECT 1"))
+    with pytest.raises(OSError):
+        connect_readonly(tmp_path / "missing" / "no.sqlite")
+
+
+def test_execute_lone_surrogate_is_a_failure(guarded_db):
+    # SQLite takes UTF-8 only; the query cannot reach it, and must not raise
+    outcome = execute(guarded_db, SqlQuery("SELECT 1 -- \ud800"))
+    assert outcome.status == "failure"
+    assert outcome.error_kind == "other"
+
+
+# --- held connections -----------------------------------------------------------
+
+COUNT_TO_100K = SqlQuery(
+    "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c WHERE x < 100000) "
+    "SELECT count(*) FROM c"
+)
+
+
+def test_held_connection_cannot_write(guarded_db):
+    conn = connect_readonly(guarded_db)
+    try:
+        assert conn.execute("PRAGMA query_only").fetchone() == (1,)
+        for sql in ("DELETE FROM singer",
+                    "WITH x AS (SELECT 1) INSERT INTO singer VALUES (99,'x','y',1)"):
+            assert execute(guarded_db, SqlQuery(sql), connection=conn).status == "failure"
+    finally:
+        conn.close()
+
+
+def test_held_connection_after_timeout_runs_next_query_with_fresh_deadline(guarded_db):
+    slow = SqlQuery(
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "
+        "SELECT count(*) FROM c"
+    )
+    conn = connect_readonly(guarded_db)
+    try:
+        assert execute(guarded_db, slow, timeout=0.05, connection=conn).status == "timeout"
+        time.sleep(0.06)  # the first deadline has passed
+        # long enough to reach the progress handler, so a stale deadline
+        # would interrupt it
+        outcome = execute(guarded_db, COUNT_TO_100K, timeout=30, connection=conn)
+        assert outcome.status == "success" and outcome.rows == [(100000,)]
+        again = execute(guarded_db, SqlQuery("SELECT COUNT(*) FROM singer"), connection=conn)
+        assert again.rows == [(6,)]
+    finally:
+        conn.close()
+
+
+def test_held_connection_progress_handler_cleared_after_query(guarded_db):
+    conn = connect_readonly(guarded_db)
+    try:
+        execute(guarded_db, SqlQuery("SELECT 1"), timeout=0.01, connection=conn)
+        time.sleep(0.02)
+        # the caller's own statement runs past that query's deadline
+        assert conn.execute(COUNT_TO_100K.text).fetchall() == [(100000,)]
+    finally:
+        conn.close()
 
 
 def test_canonical_values():
@@ -214,6 +277,70 @@ def test_execute_canonicalizes_mixed_rows(tmp_path):
 ])
 def test_has_top_level_order_by(sql, expected):
     assert has_top_level_order_by(SqlQuery(sql)) is expected
+
+
+# --- the literal scan against a per-character reference -------------------------
+# The reference is the earlier scanner, one character at a time; the three
+# callers below are the earlier callers built on it.
+
+def _reference_outside_literals(text):
+    quote = None
+    depth = 0
+    for i, ch in enumerate(text):
+        if quote:
+            if ch == quote:
+                quote = None
+        elif ch in "'\"":
+            quote = ch
+        else:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth = max(0, depth - 1)
+            yield i, ch, depth
+
+
+def _reference_cut_at_statement_end(text):
+    for i, ch, _ in _reference_outside_literals(text):
+        if ch == ";":
+            return text[:i], True
+    return text, False
+
+
+def _reference_has_top_level_order_by(text):
+    upper = text.upper()
+    for i, _, depth in _reference_outside_literals(text):
+        if (depth == 0 and re.compile(r"ORDER\s+BY\b").match(upper, i)
+                and (i == 0 or not upper[i - 1].isalnum())):
+            return True
+    return False
+
+
+def _reference_normalize_sql(text):
+    text = re.sub(r"\s+", " ", text.strip().rstrip(";"))
+    chars = list(text)
+    for i, ch, _ in _reference_outside_literals(text):
+        chars[i] = ch.lower()
+    return "".join(chars)
+
+
+# SQL-shaped fragments. Characters whose upper() is longer than themselves
+# (such as "ß") are left out: the reference indexes text.upper() by
+# positions in text, so on them it reads the wrong character.
+_SQL_PIECES = st.sampled_from([
+    "ORDER BY", "order\n by", "Order", "BY", "x", "1", "_", " ", "(", ")",
+    "'", "\"", ";", "ΑΣ", "é", "İ",
+])
+_sql_like = st.lists(_SQL_PIECES, max_size=16).map("".join) | st.text(max_size=40).filter(
+    lambda t: all(len(ch.upper()) == 1 for ch in t))
+
+
+@given(_sql_like)
+@settings(max_examples=500)
+def test_literal_scan_callers_match_reference(text):
+    assert _cut_at_statement_end(text) == _reference_cut_at_statement_end(text)
+    assert has_top_level_order_by(SqlQuery(text)) is _reference_has_top_level_order_by(text)
+    assert _normalize_sql(text) == _reference_normalize_sql(text)
 
 
 # --- comparator oracle suite --------------------------------------------------

@@ -67,6 +67,19 @@ def test_cache_key_ignores_max_output_tokens():
     )
 
 
+def test_cache_key_of_lone_surrogate_prompt():
+    keys = {cache_key(make_request(messages=[("user", text)]))
+            for text in ("\ud800", "\udfff", "\ud800\udfff", "?")}
+    assert len(keys) == 4
+
+
+def test_cache_key_of_valid_text_unchanged():
+    # the key a replay log written before surrogates were hashed holds
+    request = make_request(messages=[("user", "résumé ☃ \U0001F600")])
+    assert cache_key(request) == (
+        "9e279edb03e65c2874139790fc70a39868477eb72336b45e0be8ef1e4d035940")
+
+
 @given(st.text(min_size=1), st.text(min_size=1))
 def test_cache_key_distinguishes_distinct_messages(a, b):
     ka = cache_key(make_request(messages=[("user", a)]))

@@ -1,7 +1,13 @@
+import hashlib
+import json
+from dataclasses import asdict
+
 import pytest
 
 from nl2sql import pipeline
 from nl2sql.execution import ExecutionOutcome, execute
+from nl2sql.gateway import ChatResponse
+from nl2sql.jsonl import AppendLog
 from nl2sql.pipeline import (
     PipelineConfig,
     PipelineTrace,
@@ -87,11 +93,11 @@ def test_repeated_candidate_still_executes(music_schema, fixture_db, monkeypatch
     its first run can clear."""
     calls = []
 
-    def flaky_execute(db_file, query, timeout=30.0):
+    def flaky_execute(db_file, query, timeout=30.0, connection=None):
         calls.append(query.text)
         if len(calls) == 2:  # the first candidate; call 1 runs the gold query
             return ExecutionOutcome.timeout()
-        return execute(db_file, query, timeout=timeout)
+        return execute(db_file, query, timeout=timeout, connection=connection)
 
     monkeypatch.setattr(pipeline, "execute", flaky_execute)
     gateway = scripted_gateway([CORRECT], correction_sql_responses=[CORRECT])
@@ -230,13 +236,51 @@ def test_trace_persistence_roundtrip(tmp_path, music_schema, fixture_db):
     gateway = scripted_gateway([CORRECT])
     result = run(music_schema, fixture_db, gateway)
     path = tmp_path / "trace.jsonl"
-    append_trace(result.trace, path)
-    append_trace(result.trace, path)
+    with AppendLog(path) as log:
+        append_trace(result.trace, log)
+        result.trace.status = "exhausted"
+        append_trace(result.trace, log)
+    assert len(path.read_text().splitlines()) == 2
     records = load_traces(path)
-    assert len(records) == 2
-    assert records[0]["status"] == "solved"
+    assert len(records) == 1  # one per sample id: the last one written
+    assert records[0]["status"] == "exhausted"
     assert [s["role"] for s in records[0]["stages"]] == stage_roles(result)
     assert records[0]["stages"][0]["response"]
+
+
+def test_trace_line_decodes_equal_to_asdict(tmp_path, music_schema, fixture_db):
+    gateway = scripted_gateway([WRONG], correction_sql_responses=[CORRECT])
+    trace = run(music_schema, fixture_db, gateway).trace
+    trace.stages[0].warnings.append("naïve \ud800 warning")
+    trace.add_warning("trace-level ☃")
+    path = tmp_path / "trace.jsonl"
+    with AppendLog(path) as log:
+        append_trace(trace, log)
+    line = path.read_bytes()
+    assert line.isascii() and line.endswith(b"\n") and line.count(b"\n") == 1
+    assert json.loads(line) == asdict(trace)
+
+
+def test_load_traces_skips_torn_line(tmp_path, music_schema, fixture_db):
+    result = run(music_schema, fixture_db, scripted_gateway([CORRECT]))
+    path = tmp_path / "trace.jsonl"
+    with AppendLog(path) as log:
+        append_trace(result.trace, log)
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write('[1]\n{"sample_id": "torn", "stag')  # a foreign line, then a torn tail
+    records = load_traces(path)
+    assert [r["sample_id"] for r in records] == [result.trace.sample_id]
+    result.trace.sample_id = "next"
+    with AppendLog(path) as log:  # the next record starts its own line
+        append_trace(result.trace, log)
+    assert [r["sample_id"] for r in load_traces(path)] == [QUESTION, "next"]
+
+
+def test_add_stage_accepts_lone_surrogate():
+    trace = PipelineTrace(sample_id="s")
+    trace.add_stage("sql", "prompt", ChatResponse("SELECT 1 -- \ud800"), "m")
+    assert trace.stages[0].artifact_digest == hashlib.sha256(
+        "SELECT 1 -- \ud800".encode("utf-8", "surrogatepass")).hexdigest()[:16]
 
 
 def test_config_validation():
