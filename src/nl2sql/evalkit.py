@@ -172,14 +172,14 @@ def _row_cost(trace, prices: dict) -> float:
 
 
 def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices,
-             gold_outcome=None, connection=None) -> tuple:
+             outcomes=None, connection=None) -> tuple:
     """(SampleRow, PipelineResult) for one sample; the result is None when
     the sample crashed."""
     try:
         result = run_pipeline(
             sample.question, schema, db_path, config, gateway,
             gold_query=sample.gold_query, taxonomy=taxonomy,
-            sample_id=str(sample.index), gold_outcome=gold_outcome,
+            sample_id=str(sample.index), outcomes=outcomes,
             connection=connection,
         )
     except Exception as exc:  # per-sample isolation: score and continue
@@ -207,9 +207,9 @@ def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices,
 
 
 def _gold_key(sample) -> tuple:
-    """Samples with equal keys share one gold result: the database and the
-    gold query exactly as run_pipeline executes it, so 'Lyon' and 'lyon'
-    stay apart."""
+    """Samples with equal keys form one group, which shares one outcome
+    memo: the database and the gold query exactly as run_pipeline executes
+    it, so 'Lyon' and 'lyon' stay apart."""
     return sample.db_id, gold_sql(sample.gold_query)
 
 
@@ -230,12 +230,12 @@ def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
 
     Samples that share a database and gold query (paraphrased questions)
     run back to back, in batch order, on one of the ``parallelism``
-    workers: the first executes the gold query and the rest reuse its
-    result, which is dropped when the group ends. Groups start in order of
-    their first sample. Each group runs its queries on one read-only
-    connection, opened when the group starts and closed when it ends, so at
-    most ``parallelism`` are open; the database files must not change
-    during the run.
+    workers. Groups start in order of their first sample. Each group runs
+    its queries on one read-only connection and keeps one outcome memo
+    (see run_pipeline), both made when the group starts and dropped when it
+    ends: the gold query and each distinct candidate that succeeds are
+    executed once per group, and at most ``parallelism`` connections are
+    open. The database files must not change during the run.
 
     Resumable: rows already in the checkpoint file are not re-run, so an
     interrupted batch picks up where it stopped. The checkpoint and trace
@@ -258,19 +258,16 @@ def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
         except OSError:
             # each sample opens the file itself, fails and is scored alone
             connection = None
+        outcomes = {}
         try:
             group_rows = []
-            gold_outcome = None
             for sample in group:
                 row, result = _run_one(
                     sample, schemas[sample.db_id], db_path, config, gateway,
-                    taxonomy, prices, gold_outcome=gold_outcome,
-                    connection=connection,
+                    taxonomy, prices, outcomes=outcomes, connection=connection,
                 )
-                if result is not None:
-                    gold_outcome = result.gold_outcome
-                    if traces is not None:
-                        append_trace(result.trace, traces)
+                if result is not None and traces is not None:
+                    append_trace(result.trace, traces)
                 if checkpoint is not None:
                     checkpoint.append(vars(row))
                 group_rows.append(row)
@@ -310,7 +307,9 @@ def write_report(report: RunReport, out_dir) -> dict:
         "aggregates": report.aggregates,
         "rows": [asdict(r) for r in report.rows],
     }
-    with open(paths["json"], "w", encoding="utf-8") as fh:
+    # A lone surrogate, which no encoding can write, goes out as its \uXXXX
+    # escape: in report.json that is the JSON escape of the same character.
+    with open(paths["json"], "w", encoding="utf-8", errors="backslashreplace") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
 
@@ -324,7 +323,7 @@ def write_report(report: RunReport, out_dir) -> dict:
             r.index, r.db_id, int(r.ea), int(r.valid), r.attempts, r.tokens,
             f"{r.cost:.8f}", int(r.stage_error), int(r.exact_match), r.final_sql,
         ])
-    with open(paths["csv"], "w", encoding="utf-8") as fh:
+    with open(paths["csv"], "w", encoding="utf-8", errors="backslashreplace") as fh:
         fh.write(buf.getvalue())
 
     agg = report.aggregates

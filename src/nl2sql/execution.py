@@ -2,6 +2,7 @@
 decide execution-accuracy equivalence between result sets."""
 
 import hashlib
+import itertools
 import re
 import sqlite3
 import time
@@ -124,13 +125,16 @@ def canonical_value(value):
     return value
 
 
-# Types canonical_value returns unchanged: a row of only these is kept as is.
+# Types canonical_value returns unchanged.
 _CANONICAL_TYPES = frozenset((int, str, type(None)))
 
 
-def canonical_rows(raw_rows) -> list:
-    """Rows with every value passed through canonical_value. A row whose
-    values are all ints, strs or None is kept as the same tuple."""
+def canonical_rows(raw_rows: list) -> list:
+    """Rows with every value passed through canonical_value. When every
+    value is an int, str or None, ``raw_rows`` itself is returned; otherwise
+    a row of only such values is kept as the same tuple."""
+    if _CANONICAL_TYPES.issuperset(map(type, itertools.chain.from_iterable(raw_rows))):
+        return raw_rows
     return [
         row if _CANONICAL_TYPES.issuperset(map(type, row))
         else tuple(canonical_value(v) for v in row)
@@ -234,8 +238,10 @@ def compare_results(gold: ExecutionOutcome, pred: ExecutionOutcome,
     """
     if gold.status != "success" or pred.status != "success":
         return False
-    if gold.column_count != pred.column_count:
+    if gold.column_count != pred.column_count or len(gold.rows) != len(pred.rows):
         return False
     if order_sensitive:
         return gold.rows == pred.rows
-    return Counter(gold.rows) == Counter(pred.rows)
+    # Every count is at least 1, so plain dict equality is bag equality;
+    # Counter.__eq__ would walk both counters in Python.
+    return dict.__eq__(Counter(gold.rows), Counter(pred.rows))

@@ -103,13 +103,14 @@ class PipelineResult:
     outcome: object  # ExecutionOutcome or None
     ea: bool | None
     trace: PipelineTrace
-    gold_outcome: object = None  # the gold query's ExecutionOutcome, or None
 
 
 def repeat_guard(previous_sqls, candidate_sql: str) -> bool:
     """True when the candidate is whitespace-normalized identical to any
-    prior attempt. Flagged attempts still execute; identical SQL can
-    succeed if the prior failure was transient."""
+    prior attempt. The flag only marks the attempt: a flagged candidate is
+    executed or served by run_pipeline's outcome memo like any other, so a
+    repeat of a failed or timed-out query runs again and can succeed if
+    that failure was transient."""
     norm = " ".join(candidate_sql.split())
     return any(" ".join(p.split()) == norm for p in previous_sqls)
 
@@ -140,7 +141,7 @@ def _feedback_text(outcome, ea, gold_present) -> str:
 
 def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
                  gold_query: str | None = None, taxonomy=None,
-                 sample_id: str = "", gold_outcome=None,
+                 sample_id: str = "", outcomes=None,
                  connection=None) -> PipelineResult:
     """Run the full agent pipeline for one question.
 
@@ -150,10 +151,14 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     round budget is spent, or a round would resend the (failed SQL,
     feedback) pair of an earlier round.
 
-    The gold query is executed first unless ``gold_outcome`` already holds
-    its result on ``db_file``; the result is returned as
-    ``PipelineResult.gold_outcome`` either way, so a caller can hand it to
-    the next sample with the same database and gold query.
+    ``outcomes`` memoizes ExecutionOutcomes on ``db_file`` by query text;
+    a caller may pass the same dict to later calls on the same database,
+    which the database must not change under. The gold query runs first
+    unless the memo holds it, and its outcome is kept whatever its status.
+    A candidate is served from the memo only when the memo holds a success
+    for its text; otherwise it is executed, and kept if it succeeds, so a
+    failed or timed-out query that comes back runs again. Without
+    ``outcomes`` the memo lasts for this call only.
 
     With ``connection`` (``execution.connect_readonly`` on ``db_file``,
     owned by the caller) every query runs on it; otherwise each query opens
@@ -164,16 +169,18 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     taxonomy = taxonomy or default_taxonomy()
     templates = config.templates
     trace = PipelineTrace(sample_id=sample_id or question[:48])
+    if outcomes is None:
+        outcomes = {}
 
     order_sensitive = False
+    gold_outcome = None
     if gold_query:
         gold = gold_sql(gold_query)
+        gold_outcome = outcomes.get(gold.text)
         if gold_outcome is None:
-            gold_outcome = execute(db_file, gold, timeout=config.timeout,
-                                   connection=connection)
+            gold_outcome = outcomes[gold.text] = execute(
+                db_file, gold, timeout=config.timeout, connection=connection)
         order_sensitive = has_top_level_order_by(gold)
-    else:
-        gold_outcome = None
 
     def verdict(outcome):
         if gold_outcome is None:
@@ -210,7 +217,7 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     except agents.StageError as exc:
         trace.status = "stage_error"
         trace.add_warning(str(exc))
-        return PipelineResult(None, None, None, trace, gold_outcome)
+        return PipelineResult(None, None, None, trace)
 
     previous_sqls = []
 
@@ -224,8 +231,12 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
             )
             return None, None, None
         repeated = repeat_guard(previous_sqls, query.text)
-        outcome = execute(db_file, query, timeout=config.timeout,
-                          connection=connection)
+        outcome = outcomes.get(query.text)
+        if outcome is None or outcome.status != "success":
+            outcome = execute(db_file, query, timeout=config.timeout,
+                              connection=connection)
+            if outcome.status == "success":
+                outcomes[query.text] = outcome
         ea = verdict(outcome)
         trace.attempts.append(
             AttemptRecord(
@@ -266,12 +277,12 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
         except agents.StageError as exc:
             trace.status = "stage_error"
             trace.add_warning(str(exc))
-            return PipelineResult(query, outcome, ea, trace, gold_outcome)
+            return PipelineResult(query, outcome, ea, trace)
         new_query, outcome, ea = attempt(raw_fixed)
         query = new_query or query
 
     trace.status = "exhausted" if trigger_fires(outcome, ea) else "solved"
-    return PipelineResult(query, outcome, ea, trace, gold_outcome)
+    return PipelineResult(query, outcome, ea, trace)
 
 
 def append_trace(trace: PipelineTrace, log: jsonl.AppendLog) -> None:

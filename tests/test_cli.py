@@ -151,6 +151,26 @@ def test_eval_writes_report(tmp_path, eval_assets, capsys):
         assert (out_dir / name).exists()
 
 
+def test_eval_reports_a_reply_with_a_lone_surrogate(tmp_path, fixture_tables_file,
+                                                     db_root, capsys):
+    questions = tmp_path / "dev.json"
+    questions.write_text(json.dumps([{"question": "How many singers do we have?",
+                                      "query": "SELECT COUNT(*) FROM singer",
+                                      "db_id": "music"}]))
+    reply = "SELECT COUNT(*) FROM singer -- \ud800"
+    config = write_config(tmp_path, ask_scripts(reply, fixes=[reply]))
+    out_dir = tmp_path / "out"
+    code = main([
+        "eval", "--config", config, "--questions", str(questions),
+        "--tables", fixture_tables_file, "--db-root", db_root,
+        "--parallelism", "1", "--out", str(out_dir),
+    ])
+    assert code == 0
+    assert "valid SQL rate:      0.00%" in capsys.readouterr().out
+    payload = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert payload["rows"][0]["final_sql"] == reply
+
+
 def test_eval_limit(tmp_path, eval_assets, capsys):
     questions, tables, db_root, config = eval_assets
     code = main([

@@ -7,6 +7,8 @@ from collections import Counter
 from dataclasses import asdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+import hypothesis.strategies as st
 
 from nl2sql import evalkit
 from nl2sql.evalkit import (
@@ -23,7 +25,14 @@ from nl2sql.evalkit import (
 from nl2sql import pipeline
 from nl2sql.gateway import ChatResponse, Gateway, ModelRoute, ScriptedBackend
 from nl2sql.jsonl import AppendLog
-from nl2sql.pipeline import PipelineConfig, PipelineTrace, append_trace, load_traces
+from nl2sql.execution import ExecutionOutcome
+from nl2sql.pipeline import (
+    PipelineConfig,
+    PipelineTrace,
+    append_trace,
+    load_traces,
+    run_pipeline,
+)
 
 from conftest import (
     FULL_LINK_JSON,
@@ -366,6 +375,21 @@ def test_write_report_values_match(dataset, tmp_path):
     assert "90.00%" in summary
 
 
+def test_write_report_escapes_a_lone_surrogate(tmp_path):
+    rows = [SampleRow(index=i, db_id="music", final_sql=sql, ea=False, valid=False,
+                      attempts=1, tokens=0, cost=0.0, stage_error=False,
+                      exact_match=False)
+            for i, sql in enumerate(["SELECT 1 -- \ud800", "SELECT 'Zürich' -- ok"])]
+    paths = write_report(RunReport(rows=rows, aggregates=compute_metrics(rows)),
+                         tmp_path / "out")
+    raw = (tmp_path / "out" / "report.json").read_bytes()
+    assert b"SELECT 1 -- \\ud800" in raw and "'Zürich'".encode() in raw
+    payload = json.loads(raw.decode("utf-8"))
+    assert [r["final_sql"] for r in payload["rows"]] == [r.final_sql for r in rows]
+    with open(paths["csv"], encoding="utf-8") as fh:
+        assert "SELECT 1 -- \\ud800" in fh.read()
+
+
 def test_exact_match_diagnostic(dataset):
     samples, schemas, db_paths = dataset
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
@@ -446,21 +470,37 @@ def paired(tmp_path, fixture_tables_file, db_root):
     return load_dataset(str(path), fixture_tables_file, db_root)
 
 
-@pytest.fixture()
-def gold_runs(monkeypatch):
-    """Counts, by query text, the gold executions run_pipeline makes."""
+def count_executions(monkeypatch, counted, outcome=None):
+    """Counts, by query text, the executions run_pipeline makes of queries
+    whose text ``counted`` accepts. ``outcome(text)``, when given, may
+    return an outcome that the execution returns instead of running."""
     counts = Counter()
     lock = threading.Lock()
     execute = pipeline.execute
 
     def counting_execute(db_file, query, timeout=30.0, connection=None):
-        if query.text.startswith("SELECT"):
+        if counted(query.text):
             with lock:
                 counts[query.text] += 1
+        injected = outcome and outcome(query.text)
+        if injected:
+            return injected
         return execute(db_file, query, timeout=timeout, connection=connection)
 
     monkeypatch.setattr(pipeline, "execute", counting_execute)
     return counts
+
+
+@pytest.fixture()
+def gold_runs(monkeypatch):
+    """Counts, by query text, the gold executions run_pipeline makes."""
+    return count_executions(monkeypatch, lambda text: text.startswith("SELECT"))
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """Counts, by query text, every execution run_pipeline makes."""
+    return count_executions(monkeypatch, lambda text: True)
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
@@ -483,7 +523,7 @@ def test_gold_literal_case_is_not_merged(paired, gold_runs):
     assert by_index[3].ea is False  # scored against its own, empty, gold
 
 
-def test_crash_in_first_sample_of_group_reruns_gold(paired, gold_runs, caplog):
+def test_crash_in_first_sample_of_group_keeps_gold(paired, gold_runs, caplog):
     class CrashingBackend(QuestionKeyedBackend):
         def complete(self, request, role=None):
             if role == "sql" and self._question(request) == PAIRED[0][0]:
@@ -498,9 +538,67 @@ def test_crash_in_first_sample_of_group_reruns_gold(paired, gold_runs, caplog):
     assert "sample 0 crashed" in caplog.text
     assert [r.ea for r in report.rows] == [False] + PAIRED_EA[1:]
     assert report.rows[0].stage_error is True
-    # the crashed sample's gold result is lost; sample 2 runs it again
-    assert gold_runs["SELECT COUNT(*) FROM singer"] == 2
-    assert sum(gold_runs.values()) == len(PAIRED_GOLDS) + 1
+    # the gold ran before the crash and its outcome stays with the group
+    assert gold_runs == {gold: 1 for gold in PAIRED_GOLDS}
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_each_distinct_query_executes_once_per_group(paired, executions, parallelism):
+    samples, schemas, db_paths = paired
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
+    assert [r.ea for r in report.rows] == PAIRED_EA
+    assert executions == {
+        **{gold: 1 for gold in PAIRED_GOLDS},
+        # samples 0, 2 and 6 reply with the same candidate
+        "select COUNT(*) FROM singer": 1,
+        # once in the 'Leeds' group (samples 1 and 4) and once in the
+        # 'leeds' group, where it is wrong and the correction repeats it
+        "select name FROM stadium WHERE city = 'Leeds'": 2,
+        "select COUNT(*) FROM concert": 1,
+    }
+
+
+def test_memo_does_not_outlive_its_group(paired, executions):
+    samples, schemas, db_paths = paired
+    # two groups on one database whose samples reply with the same candidate
+    report = evaluate([samples[1], samples[3]], schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=1)
+    assert [r.ea for r in report.rows] == [True, False]
+    assert executions["select name FROM stadium WHERE city = 'Leeds'"] == 2
+
+
+def test_memo_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path):
+    samples, schemas, db_paths = paired
+    traces = tmp_path / "traces.jsonl"
+    evaluate(samples, schemas, db_paths, PipelineConfig(),
+             question_keyed_gateway(PAIRED_SQL), parallelism=1,
+             trace_path=str(traces))
+    records = {t["sample_id"]: t for t in load_traces(str(traces))}
+    for sample in samples:
+        alone = run_pipeline(sample.question, schemas["music"], db_paths["music"],
+                             PipelineConfig(), question_keyed_gateway(PAIRED_SQL),
+                             gold_query=sample.gold_query,
+                             sample_id=str(sample.index))
+        assert records[str(sample.index)] == json.loads(json.dumps(asdict(alone.trace)))
+
+
+@pytest.mark.parametrize("failed", [
+    ExecutionOutcome.failure("missing_entity", "no such column: nope"),
+    ExecutionOutcome.timeout(),
+])
+def test_failed_candidate_repeated_in_a_group_runs_each_time(paired, monkeypatch, failed):
+    samples, schemas, db_paths = paired
+    candidate = "select nope FROM singer"
+    executions = count_executions(
+        monkeypatch, lambda text: True,
+        outcome=lambda text: failed if text == candidate else None)
+    group = [samples[0], samples[2]]
+    report = evaluate(group, schemas, db_paths, PipelineConfig(skip_correction=True),
+                      question_keyed_gateway({s.question: candidate for s in group}),
+                      parallelism=1)
+    assert [(r.valid, r.ea) for r in report.rows] == [(False, False)] * 2
+    assert executions == {"SELECT COUNT(*) FROM singer": 1, candidate: 2}
 
 
 def test_resume_runs_only_pending_samples_of_a_group(paired, gold_runs, tmp_path):
@@ -567,6 +665,36 @@ def test_lone_surrogate_in_reply_yields_a_row(tmp_path, fixture_tables_file, db_
     assert row.final_sql == reply and row.valid is False and row.ea is False
     assert [json.loads(line) for line in checkpoint.read_bytes().splitlines()] == [asdict(row)]
     assert load_traces(str(traces))[0]["stages"][3]["response"] == reply
+
+
+# Text a JSON reply can carry, NULs and lone surrogates made common. The JSON
+# round trip joins a high surrogate followed by a low one into one
+# character, as every JSON decoder does.
+_reply_text = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from("\x00\ud800\udbff\udc00\udfff;'\n")
+).map(lambda text: json.loads(json.dumps(text)))
+
+
+@given(reply=st.tuples(
+    st.sampled_from(["", "SELECT COUNT(*) FROM singer", "SELECT name FROM singer -- "]),
+    _reply_text,
+).map("".join))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_sql_reply_yields_a_row_and_a_report(reply, tmp_path, fixture_tables_file,
+                                                 db_root, caplog):
+    question, gold = DATASET[0]
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"question": question, "query": gold, "db_id": "music"}]))
+    samples, schemas, db_paths = load_dataset(str(path), fixture_tables_file, db_root)
+    caplog.clear()
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway({question: reply}), parallelism=1)
+    assert "crashed" not in caplog.text
+    assert len(report.rows) == 1
+    write_report(report, tmp_path / "out")
+    payload = json.loads((tmp_path / "out" / "report.json").read_bytes().decode("utf-8"))
+    assert payload["rows"][0]["final_sql"] == report.rows[0].final_sql
 
 
 # --- held connections and logs -------------------------------------------------

@@ -247,6 +247,15 @@ def test_canonical_rows_match_per_value_canonicalization(raw_rows):
     ]
 
 
+def test_canonical_rows_keeps_an_all_int_result_and_fixes_a_late_float():
+    raw = [(i, f"name {i}", None) for i in range(1000)]
+    assert canonical_rows(raw) is raw
+    raw[-1] = (999.0, "name 999", None)
+    rows = canonical_rows(raw)
+    assert rows[-1] == (999, "name 999", None) and type(rows[-1][0]) is int
+    assert all(new is old for new, old in zip(rows[:-1], raw[:-1]))
+
+
 def test_execute_canonicalizes_mixed_rows(tmp_path):
     path = tmp_path / "mixed.sqlite"
     conn = sqlite3.connect(path)
@@ -519,3 +528,40 @@ def test_compare_symmetry_unordered(rows_a, rows_b):
     a = ExecutionOutcome.success(rows_a, 2)
     b = ExecutionOutcome.success(rows_b, 2)
     assert compare_results(a, b, False) == compare_results(b, a, False)
+
+
+def reference_compare_results(gold, pred, order_sensitive):
+    """compare_results as it was before the row-count check and the plain
+    dict comparison of the bags."""
+    if gold.status != "success" or pred.status != "success":
+        return False
+    if gold.column_count != pred.column_count:
+        return False
+    if order_sensitive:
+        return gold.rows == pred.rows
+    return Counter(gold.rows) == Counter(pred.rows)
+
+
+_cells = (st.none() | st.integers(-2, 2) | st.sampled_from([1.0, 2.5, -0.0])
+          | st.sampled_from(["a", "b", "1", ""]))
+_result_rows = st.lists(st.tuples(_cells, _cells), max_size=6)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_compare_results_matches_counter_reference(data):
+    gold_rows = data.draw(_result_rows, label="gold rows")
+    pred_rows = data.draw(st.one_of(
+        st.permutations(gold_rows),
+        st.permutations(gold_rows + gold_rows[:1]),  # one duplicate more
+        st.permutations(gold_rows[1:]),  # one row fewer
+        st.permutations(gold_rows[:-1] + gold_rows[:1]),  # same length, other bag
+        _result_rows,
+    ).map(list), label="predicted rows")
+    gold = ExecutionOutcome(data.draw(st.sampled_from(["success"] * 3 + ["failure", "timeout"])),
+                            rows=gold_rows, column_count=2)
+    pred = ExecutionOutcome("success", rows=pred_rows,
+                            column_count=data.draw(st.sampled_from([2, 2, 2, 1])))
+    order_sensitive = data.draw(st.booleans(), label="order sensitive")
+    assert (compare_results(gold, pred, order_sensitive)
+            == reference_compare_results(gold, pred, order_sensitive))

@@ -90,7 +90,9 @@ def test_alternating_wrongs_stop_before_resent_round(music_schema, fixture_db):
 
 def test_repeated_candidate_still_executes(music_schema, fixture_db, monkeypatch):
     """A repeated candidate is executed again, so a transient failure of
-    its first run can clear."""
+    its first run can clear. Its text differs from the gold's, so the
+    outcome memo cannot serve it from the gold query's run."""
+    candidate = "SELECT count(*) FROM singer"
     calls = []
 
     def flaky_execute(db_file, query, timeout=30.0, connection=None):
@@ -100,8 +102,9 @@ def test_repeated_candidate_still_executes(music_schema, fixture_db, monkeypatch
         return execute(db_file, query, timeout=timeout, connection=connection)
 
     monkeypatch.setattr(pipeline, "execute", flaky_execute)
-    gateway = scripted_gateway([CORRECT], correction_sql_responses=[CORRECT])
+    gateway = scripted_gateway([candidate], correction_sql_responses=[candidate])
     result = run(music_schema, fixture_db, gateway)
+    assert calls == [GOLD, candidate, candidate]
     assert [a.status for a in result.trace.attempts] == ["timeout", "success"]
     assert result.trace.attempts[1].repeat_of_earlier
     assert result.trace.status == "solved"
