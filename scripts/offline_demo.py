@@ -7,11 +7,13 @@ six-stage pipeline (including one correction round), and prints the trace.
     python3 scripts/offline_demo.py
 """
 
+import contextlib
 import json
 import sqlite3
 import tempfile
 import os
 
+from nl2sql.execution import connect_readonly
 from nl2sql.gateway import Gateway, ModelRoute, ScriptedBackend
 from nl2sql.pipeline import PipelineConfig, run_pipeline
 from nl2sql.schema import introspect_database
@@ -76,10 +78,11 @@ def main():
             backends={"demo": ScriptedBackend(scripts=SCRIPTS)},
             route=ModelRoute.uniform("demo", "scripted-demo"),
         )
-        result = run_pipeline(
-            QUESTION, schema, db_file, PipelineConfig(), gateway,
-            gold_query=GOLD,
-        )
+        with contextlib.closing(connect_readonly(db_file)) as connection:
+            result = run_pipeline(
+                QUESTION, schema, connection, PipelineConfig(), gateway,
+                gold_query=GOLD,
+            )
 
         print(f"question : {QUESTION}")
         print(f"status   : {result.trace.status}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import taxonomy as taxonomy_mod
-from .gateway import GatewayError
+from .gateway import AGENT_ROLES, GatewayError
 from .schema import LinkedSchema, ForeignKey, render_schema_text, validate_linked_schema
 
 PLACEHOLDERS = frozenset({
@@ -122,8 +122,7 @@ def _parse_template_file(role: str, text: str) -> PromptTemplate:
 def load_default_templates() -> dict:
     """Six built-in templates shipped as package data."""
     templates = {}
-    for role in ("schema_linking", "subproblem", "query_plan", "sql",
-                 "correction_plan", "correction_sql"):
+    for role in AGENT_ROLES:
         text = resources.files("nl2sql.templates").joinpath(role + ".txt").read_text(
             encoding="utf-8"
         )
@@ -359,13 +358,12 @@ def _parse_raw_sql(content):
     return content
 
 
-def run_sql(question, plan_text, gateway, trace, templates,
-            schema_text="") -> str:
+def run_sql(question, plan_text, gateway, trace, templates) -> str:
     """Generate raw SQL text; handed to the sanitizer, never executed
     verbatim."""
     return _call(
         gateway, trace, templates["sql"],
-        {"question": question, "plan": plan_text, "schema": schema_text},
+        {"question": question, "plan": plan_text},
         _parse_raw_sql,
         "reply with the SQL query",
     )

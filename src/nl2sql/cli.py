@@ -9,6 +9,7 @@ with stage errors present.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ import sys
 import yaml
 
 from . import agents, evalkit
+from .execution import connect_readonly
 from .gateway import (
     Gateway,
     ModelRoute,
@@ -64,11 +66,7 @@ def _build_backend(spec: dict):
         if isinstance(scripts, str):
             with open(scripts, encoding="utf-8") as fh:
                 scripts = json.load(fh)
-        return ScriptedBackend(
-            exact=spec.get("exact", {}),
-            scripts=scripts,
-            strict=spec.get("strict", True),
-        )
+        return ScriptedBackend(exact=spec.get("exact", {}), scripts=scripts)
     if kind == "remote":
         return RemoteBackend(
             endpoint=spec.get("endpoint")
@@ -133,7 +131,6 @@ def build_pipeline_config(config: dict, args) -> PipelineConfig:
         or bool(pipeline_cfg.get("skip_correction", False)),
         correction_trigger=pipeline_cfg.get("correction_trigger", "gold_mismatch"),
         timeout=float(pipeline_cfg.get("timeout", 30.0)),
-        sql_agent_sees_schema=bool(pipeline_cfg.get("sql_agent_sees_schema", False)),
         **overrides,
     )
 
@@ -166,10 +163,11 @@ def cmd_ask(args) -> int:
     if not args.gold and pipeline_config.correction_trigger == "gold_mismatch":
         pipeline_config.correction_trigger = "execution_error_only"
 
-    result = run_pipeline(
-        args.question, schema, db_file, pipeline_config, gateway,
-        gold_query=args.gold,
-    )
+    with contextlib.closing(connect_readonly(db_file)) as connection:
+        result = run_pipeline(
+            args.question, schema, connection, pipeline_config, gateway,
+            gold_query=args.gold,
+        )
     if args.trace_file:
         with AppendLog(args.trace_file) as log:
             append_trace(result.trace, log)

@@ -5,14 +5,16 @@ Per-sample isolation: one sample's crash is contained and scored false;
 long runs never die mid-batch.
 """
 
+import contextlib
 import csv
 import io
 import json
 import logging
+import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from decimal import Decimal, ROUND_HALF_UP
 
 from . import jsonl
@@ -171,24 +173,28 @@ def _row_cost(trace, prices: dict) -> float:
     return cost
 
 
-def _run_one(sample, schema, db_path, config, gateway, taxonomy, prices,
-             outcomes=None, connection=None) -> tuple:
+def _crash_row(sample) -> SampleRow:
+    """Log the exception being handled as the crash of ``sample`` and return
+    its row, scored false as a stage error."""
+    logger.exception("sample %d crashed", sample.index)
+    return SampleRow(
+        index=sample.index, db_id=sample.db_id, final_sql="",
+        ea=False, valid=False, attempts=0, tokens=0, cost=0.0,
+        stage_error=True, exact_match=False,
+    )
+
+
+def _run_one(sample, schema, connection, config, gateway, prices, outcomes) -> tuple:
     """(SampleRow, PipelineResult) for one sample; the result is None when
     the sample crashed."""
     try:
         result = run_pipeline(
-            sample.question, schema, db_path, config, gateway,
-            gold_query=sample.gold_query, taxonomy=taxonomy,
-            sample_id=str(sample.index), outcomes=outcomes,
-            connection=connection,
+            sample.question, schema, connection, config, gateway,
+            gold_query=sample.gold_query, sample_id=str(sample.index),
+            outcomes=outcomes,
         )
-    except Exception as exc:  # per-sample isolation: score and continue
-        logger.exception("sample %d crashed", sample.index)
-        return SampleRow(
-            index=sample.index, db_id=sample.db_id, final_sql="",
-            ea=False, valid=False, attempts=0, tokens=0, cost=0.0,
-            stage_error=True, exact_match=False,
-        ), None
+    except Exception:  # per-sample isolation: score and continue
+        return _crash_row(sample), None
     final_sql = result.final_sql.text if result.final_sql else ""
     row = SampleRow(
         index=sample.index,
@@ -213,6 +219,15 @@ def _gold_key(sample) -> tuple:
     return sample.db_id, gold_sql(sample.gold_query)
 
 
+def _checkpoint_row(data) -> SampleRow:
+    """``data`` as a SampleRow; raises TypeError or ValueError when a field
+    has the wrong type or the cost is not finite."""
+    row = SampleRow(**jsonl.check_fields(data, SampleRow))
+    if not math.isfinite(row.cost):
+        raise ValueError("checkpoint cost is not finite")
+    return row
+
+
 def _read_checkpoint(path) -> dict:
     """Checkpointed rows by index; for an index recorded twice the last row
     wins. An unreadable line, such as the torn tail a kill mid-write leaves,
@@ -220,12 +235,11 @@ def _read_checkpoint(path) -> dict:
     if not path:
         return {}
     return {row.index: row
-            for row in jsonl.read_records(path, lambda data: SampleRow(**data), "checkpoint")}
+            for row in jsonl.read_records(path, _checkpoint_row, "checkpoint")}
 
 
-def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
-             parallelism=4, checkpoint_path=None, trace_path=None,
-             prices=None) -> RunReport:
+def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
+             checkpoint_path=None, trace_path=None, prices=None) -> RunReport:
     """Run the pipeline over a sample batch and report metrics.
 
     Samples that share a database and gold query (paraphrased questions)
@@ -235,7 +249,9 @@ def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
     (see run_pipeline), both made when the group starts and dropped when it
     ends: the gold query and each distinct candidate that succeeds are
     executed once per group, and at most ``parallelism`` connections are
-    open. The database files must not change during the run.
+    open. The database files must not change during the run. When a
+    group's database cannot be opened, each of its samples is logged and
+    scored as a crash.
 
     Resumable: rows already in the checkpoint file are not re-run, so an
     interrupted batch picks up where it stopped. The checkpoint and trace
@@ -251,30 +267,23 @@ def evaluate(samples, schemas, db_paths, config, gateway, taxonomy=None,
     checkpoint = jsonl.AppendLog(checkpoint_path) if checkpoint_path else None
     traces = jsonl.AppendLog(trace_path) if trace_path else None
 
+    def record(row, result):
+        if result is not None and traces is not None:
+            append_trace(result.trace, traces)
+        if checkpoint is not None:
+            checkpoint.append(vars(row))
+        return row
+
     def work(group):
-        db_path = db_paths[group[0].db_id]
         try:
-            connection = connect_readonly(db_path)
+            connection = connect_readonly(db_paths[group[0].db_id])
         except OSError:
-            # each sample opens the file itself, fails and is scored alone
-            connection = None
+            return [record(_crash_row(sample), None) for sample in group]
         outcomes = {}
-        try:
-            group_rows = []
-            for sample in group:
-                row, result = _run_one(
-                    sample, schemas[sample.db_id], db_path, config, gateway,
-                    taxonomy, prices, outcomes=outcomes, connection=connection,
-                )
-                if result is not None and traces is not None:
-                    append_trace(result.trace, traces)
-                if checkpoint is not None:
-                    checkpoint.append(vars(row))
-                group_rows.append(row)
-            return group_rows
-        finally:
-            if connection is not None:
-                connection.close()
+        with contextlib.closing(connection):
+            return [record(*_run_one(sample, schemas[sample.db_id], connection, config,
+                                     gateway, prices, outcomes))
+                    for sample in group]
 
     rows = list(done.values())
     try:

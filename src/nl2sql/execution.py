@@ -168,25 +168,21 @@ def connect_readonly(db_file) -> sqlite3.Connection:
     return conn
 
 
-def execute(db_file, query: SqlQuery, timeout: float = 30.0,
-            connection=None) -> ExecutionOutcome:
-    """Run a sanitized query read-only and materialize canonical rows.
+def execute(connection, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutcome:
+    """Run a sanitized query on ``connection`` and materialize canonical rows.
 
-    With ``connection`` (from ``connect_readonly``, owned by the caller)
-    the query runs on it, which must be open on ``db_file``; otherwise a
-    connection is opened for this query and closed after it. The timeout
-    counts from this call on either.
+    ``connection`` comes from ``connect_readonly`` and is owned by the
+    caller, who closes it. The timeout counts from this call, and the
+    connection's progress handler is cleared when the query ends.
 
     Engine errors, and query text SQLite cannot take (a lone surrogate),
-    are classified into the outcome, never raised past this boundary; only
-    an unreadable file raises.
+    are classified into the outcome, never raised past this boundary.
     """
     if not _STATEMENT_START.match(query.text):
         return ExecutionOutcome.failure("other", "only SELECT/WITH/VALUES statements are executed")
-    conn = connection if connection is not None else connect_readonly(db_file)
     deadline = time.monotonic() + timeout
-    conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
-    cursor = conn.cursor()
+    connection.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
+    cursor = connection.cursor()
     try:
         cursor.execute(query.text)
         raw_rows = cursor.fetchall()
@@ -204,10 +200,7 @@ def execute(db_file, query: SqlQuery, timeout: float = 30.0,
         return ExecutionOutcome.failure("other", f"query text cannot be encoded as UTF-8: {exc}")
     finally:
         cursor.close()
-        if connection is None:
-            conn.close()
-        else:
-            conn.set_progress_handler(None, 0)
+        connection.set_progress_handler(None, 0)
 
 
 def has_top_level_order_by(query: SqlQuery) -> bool:

@@ -51,7 +51,7 @@ class AuthError(GatewayError):
 
 
 class ScriptedMissError(GatewayError):
-    """Fatal in strict test mode: no fixture for this request."""
+    """No fixture for this request."""
 
 
 @dataclass
@@ -124,16 +124,16 @@ class ScriptedBackend:
     """Deterministic fixture backend.
 
     Matches on cache_key first; falls back to an ordered per-role script
-    (Nth call for role R returns fixture N). Hash matching is brittle while
+    (Nth call for role R returns fixture N); a request that neither
+    matches raises ScriptedMissError. Hash matching is brittle while
     prompts are under development; ordered scripts keep tests stable.
     """
 
     tag = "scripted"
 
-    def __init__(self, exact=None, scripts=None, strict=True):
+    def __init__(self, exact=None, scripts=None):
         self.exact = dict(exact or {})
         self.scripts = {role: list(items) for role, items in (scripts or {}).items()}
-        self.strict = strict
         self._cursors = {}
         self._lock = threading.Lock()
 
@@ -146,13 +146,10 @@ class ScriptedBackend:
                 script = self.scripts.get(role or "", [])
                 cursor = self._cursors.get(role, 0)
                 if cursor >= len(script):
-                    if self.strict:
-                        raise ScriptedMissError(
-                            f"no fixture for role={role!r} call #{cursor + 1}"
-                        )
-                    content = ""
-                else:
-                    content = script[cursor]
+                    raise ScriptedMissError(
+                        f"no fixture for role={role!r} call #{cursor + 1}"
+                    )
+                content = script[cursor]
                 self._cursors[role] = cursor + 1
         prompt_chars = sum(len(c) for _, c in request.messages)
         return ChatResponse(
@@ -208,7 +205,6 @@ class ReplayBackend:
     def __init__(self, inner, cache_dir):
         self.inner = inner
         self.cache_dir = str(cache_dir)
-        os.makedirs(self.cache_dir, exist_ok=True)
         self.path = replay_log_path(self.cache_dir)
         self._records = read_replay_log(self.cache_dir)
         self._log = jsonl.AppendLog(self.path)

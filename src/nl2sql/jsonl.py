@@ -10,6 +10,7 @@ line that does not decode, such as the torn tail a kill mid-write leaves,
 is skipped by the reader and written past by the next appender.
 """
 
+import dataclasses
 import json
 import logging
 import os
@@ -40,10 +41,22 @@ def read_records(path, parse, label) -> list:
     return records
 
 
+def check_fields(value, cls):
+    """``value``, a decoded JSON value, when it is an object holding every
+    field of the dataclass ``cls`` with a value of that field's type (an int
+    passes for a float); raises TypeError or KeyError otherwise."""
+    for f in dataclasses.fields(cls):
+        kind = (int, float) if f.type is float else f.type
+        if not isinstance(value[f.name], kind):
+            raise TypeError(f"{cls.__name__}.{f.name} has the wrong type")
+    return value
+
+
 def _open_for_append(path) -> int:
-    """An O_APPEND descriptor on ``path``, created if missing. A file that
-    does not end in a newline gets one first, so the next record starts its
-    own line."""
+    """An O_APPEND descriptor on ``path``, created, with any missing parent
+    directory, if missing. A file that does not end in a newline gets one
+    first, so the next record starts its own line."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         size = os.fstat(fd).st_size

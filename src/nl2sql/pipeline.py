@@ -88,7 +88,6 @@ class PipelineConfig:
     correction_trigger: str = "gold_mismatch"
     timeout: float = 30.0
     templates: dict = field(default_factory=agents.load_default_templates)
-    sql_agent_sees_schema: bool = False
 
     def __post_init__(self):
         if self.max_correction_attempts < 0:
@@ -139,10 +138,9 @@ def _feedback_text(outcome, ea, gold_present) -> str:
     return "execution succeeded"
 
 
-def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
-                 gold_query: str | None = None, taxonomy=None,
-                 sample_id: str = "", outcomes=None,
-                 connection=None) -> PipelineResult:
+def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
+                 gold_query: str | None = None, sample_id: str = "",
+                 outcomes=None) -> PipelineResult:
     """Run the full agent pipeline for one question.
 
     Stage order: schema_linking, subproblem, query_plan (unless skipped),
@@ -151,7 +149,10 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     round budget is spent, or a round would resend the (failed SQL,
     feedback) pair of an earlier round.
 
-    ``outcomes`` memoizes ExecutionOutcomes on ``db_file`` by query text;
+    Every query runs on ``connection``, from ``execution.connect_readonly``
+    and owned by the caller, who closes it.
+
+    ``outcomes`` memoizes ExecutionOutcomes on that database by query text;
     a caller may pass the same dict to later calls on the same database,
     which the database must not change under. The gold query runs first
     unless the memo holds it, and its outcome is kept whatever its status.
@@ -159,14 +160,10 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
     for its text; otherwise it is executed, and kept if it succeeds, so a
     failed or timed-out query that comes back runs again. Without
     ``outcomes`` the memo lasts for this call only.
-
-    With ``connection`` (``execution.connect_readonly`` on ``db_file``,
-    owned by the caller) every query runs on it; otherwise each query opens
-    its own.
     """
     if config.correction_trigger == "gold_mismatch" and not gold_query:
         raise ValueError("gold_mismatch trigger requires a gold query")
-    taxonomy = taxonomy or default_taxonomy()
+    taxonomy = default_taxonomy()
     templates = config.templates
     trace = PipelineTrace(sample_id=sample_id or question[:48])
     if outcomes is None:
@@ -179,7 +176,7 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
         gold_outcome = outcomes.get(gold.text)
         if gold_outcome is None:
             gold_outcome = outcomes[gold.text] = execute(
-                db_file, gold, timeout=config.timeout, connection=connection)
+                connection, gold, timeout=config.timeout)
         order_sensitive = has_top_level_order_by(gold)
 
     def verdict(outcome):
@@ -207,19 +204,11 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
                 question, schema_text, subproblems, gateway, trace, templates
             )
             plan_text = plan.render()
-        raw_sql = agents.run_sql(
-            question, plan_text, gateway, trace, templates,
-            schema_text=(
-                f"Relevant schema:\n{schema_text}\n"
-                if config.sql_agent_sees_schema else ""
-            ),
-        )
+        raw_sql = agents.run_sql(question, plan_text, gateway, trace, templates)
     except agents.StageError as exc:
         trace.status = "stage_error"
         trace.add_warning(str(exc))
         return PipelineResult(None, None, None, trace)
-
-    previous_sqls = []
 
     def attempt(raw_text):
         """Sanitize + execute one candidate; returns (query, outcome, ea)."""
@@ -230,11 +219,10 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
                 AttemptRecord(sql="", status="sanitize_error", message=str(exc))
             )
             return None, None, None
-        repeated = repeat_guard(previous_sqls, query.text)
+        repeated = repeat_guard([a.sql for a in trace.attempts], query.text)
         outcome = outcomes.get(query.text)
         if outcome is None or outcome.status != "success":
-            outcome = execute(db_file, query, timeout=config.timeout,
-                              connection=connection)
+            outcome = execute(connection, query, timeout=config.timeout)
             if outcome.status == "success":
                 outcomes[query.text] = outcome
         ea = verdict(outcome)
@@ -249,7 +237,6 @@ def run_pipeline(question, schema, db_file, config: PipelineConfig, gateway,
                 repeat_of_earlier=repeated,
             )
         )
-        previous_sqls.append(query.text)
         return query, outcome, ea
 
     query, outcome, ea = attempt(raw_sql)
@@ -297,11 +284,13 @@ def append_trace(trace: PipelineTrace, log: jsonl.AppendLog) -> None:
 
 
 def _trace_record(value) -> dict:
-    """``value`` when it has a trace's top-level shape; raises TypeError
-    otherwise."""
-    if not (isinstance(value["sample_id"], str) and isinstance(value["status"], str)
-            and all(isinstance(value[k], list) for k in ("stages", "attempts", "warnings"))):
-        raise TypeError("not a trace record")
+    """``value`` when it has the shape of a PipelineTrace record, each stage
+    and attempt included; raises TypeError or KeyError otherwise."""
+    jsonl.check_fields(value, PipelineTrace)
+    for stage in value["stages"]:
+        jsonl.check_fields(stage, StageRecord)
+    for attempt in value["attempts"]:
+        jsonl.check_fields(attempt, AttemptRecord)
     return value
 
 

@@ -4,9 +4,12 @@ Schemas are immutable after construction and safe to share across
 concurrent pipeline runs.
 """
 
+import contextlib
 import json
 import sqlite3
 from dataclasses import dataclass, field
+
+from .execution import connect_readonly
 
 LOGICAL_TYPES = frozenset({"text", "number", "time", "boolean", "others"})
 
@@ -134,7 +137,9 @@ def load_tables_json(path) -> list:
     for i, entry in enumerate(entries):
         try:
             schemas.append(_schema_from_entry(entry))
-        except (KeyError, TypeError, IndexError) as exc:
+        except SchemaError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise SchemaFormatError(f"{path}: malformed entry {i}: {exc}") from exc
     return schemas
 
@@ -146,6 +151,8 @@ def _schema_from_entry(entry: dict) -> DatabaseSchema:
     col_types = entry["column_types"]
     if not table_names:
         raise SchemaError(f"{db_id}: empty table list")
+    if not all(isinstance(name, str) for name in table_names):
+        raise TypeError("a table name is not text")
 
     columns_by_table = {i: [] for i in range(len(table_names))}
     col_locations = []  # column index -> (table index, name)
@@ -155,6 +162,8 @@ def _schema_from_entry(entry: dict) -> DatabaseSchema:
             continue
         if tidx >= len(table_names):
             raise SchemaError(f"{db_id}: column {cname!r} names table index {tidx} out of range")
+        if not isinstance(cname, str):
+            raise TypeError(f"column name {cname!r} is not text")
         ctype = ctype if ctype in LOGICAL_TYPES else "others"
         columns_by_table[tidx].append((cname, ctype))
 
@@ -229,8 +238,7 @@ def introspect_database(db_file) -> DatabaseSchema:
 
     db_id = os.path.splitext(os.path.basename(str(db_file)))[0]
     try:
-        conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
-        try:
+        with contextlib.closing(connect_readonly(db_file)) as conn:
             names = [
                 r[0]
                 for r in conn.execute(
@@ -265,8 +273,8 @@ def introspect_database(db_file) -> DatabaseSchema:
                         dst_col = target_pks[0] if target_pks else None
                     if dst_col is not None:
                         foreign_keys.append(ForeignKey(name, src_col, dst_table, dst_col))
-        finally:
-            conn.close()
+    except OSError as exc:
+        raise SchemaError(str(exc)) from exc
     except sqlite3.Error as exc:
         raise SchemaError(f"cannot open database {db_file}: {exc}") from exc
 

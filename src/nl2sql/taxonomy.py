@@ -21,12 +21,6 @@ class Taxonomy:
     categories: tuple  # of (id, name)
     codes: tuple  # of ErrorCode
 
-    def by_code(self, code: str):
-        for c in self.codes:
-            if c.code == code:
-                return c
-        return None
-
 
 _CATEGORIES = (
     ("SYN", "Syntax errors"),

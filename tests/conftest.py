@@ -1,10 +1,14 @@
+import contextlib
 import json
 import sqlite3
 import threading
+from collections import Counter
 
 import pytest
 
+from nl2sql.execution import connect_readonly, execute
 from nl2sql.gateway import Gateway, ModelRoute, ScriptedBackend
+from nl2sql.pipeline import run_pipeline
 
 # Music-domain fixture database: 8 tables, small deterministic contents.
 FIXTURE_DDL = """
@@ -73,6 +77,44 @@ def build_fixture_db(path):
     conn.commit()
     conn.close()
     return str(path)
+
+
+def execute_once(db_file, query, timeout=30.0):
+    """``execute`` on a read-only connection opened for this one query."""
+    with contextlib.closing(connect_readonly(db_file)) as connection:
+        return execute(connection, query, timeout=timeout)
+
+
+def run_pipeline_once(question, schema, db_file, config, gateway, **kwargs):
+    """``run_pipeline`` on a read-only connection opened for this one run."""
+    with contextlib.closing(connect_readonly(db_file)) as connection:
+        return run_pipeline(question, schema, connection, config, gateway, **kwargs)
+
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """Counts the sqlite3 connections opened while the test runs: in total,
+    at most at once, and still open."""
+    counts = Counter()
+    lock = threading.Lock()
+    connect = sqlite3.connect
+
+    class Counted(sqlite3.Connection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            with lock:
+                counts["opened"] += 1
+                counts["open"] += 1
+                counts["peak"] = max(counts["peak"], counts["open"])
+
+        def close(self):
+            with lock:
+                counts["open"] -= 1
+            super().close()
+
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *args, **kwargs: connect(*args, factory=Counted, **kwargs))
+    return counts
 
 
 @pytest.fixture(scope="session")

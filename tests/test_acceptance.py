@@ -18,15 +18,14 @@ from nl2sql.execution import (
     SanitizeError,
     SqlQuery,
     compare_results,
-    execute,
     has_top_level_order_by,
     sanitize,
 )
 from nl2sql.gateway import Gateway, ModelRoute, ReplayBackend, read_replay_log
-from nl2sql.pipeline import PipelineConfig, run_pipeline
+from nl2sql.pipeline import PipelineConfig
 from nl2sql.taxonomy import default_taxonomy, parse_codes, render_summary
 
-from conftest import QuestionKeyedBackend, scripted_gateway
+from conftest import QuestionKeyedBackend, execute_once, run_pipeline_once, scripted_gateway
 from test_evalkit import DATASET, FIX_BY_QUESTION, SQL_BY_QUESTION
 from test_execution import COMPARATOR_PAIRS, SANITIZE_CORPUS, SANITIZE_REJECTS, oracle_verdict
 from test_taxonomy import NAMED_FAILURE_MODES
@@ -44,10 +43,9 @@ def test_acceptance_taxonomy_integrity():
     assert len(taxonomy.categories) == 9
     assert len(taxonomy.codes) == 31
     assert len({c.code for c in taxonomy.codes}) == 31
-    titles = {c.title for c in taxonomy.codes}
+    titles_by_code = {c.code: c.title for c in taxonomy.codes}
     for title, expected_code in NAMED_FAILURE_MODES.items():
-        assert title in titles
-        assert taxonomy.by_code(expected_code).title == title
+        assert titles_by_code[expected_code] == title
     known, unknown = parse_codes(render_summary(taxonomy), taxonomy)
     assert [c.code for c in known] == [c.code for c in taxonomy.codes]
     assert unknown == []
@@ -68,7 +66,7 @@ WRONG = "SELECT COUNT(*) FROM concert"
 
 def _run(music_schema, fixture_db, gateway, **config_kw):
     config = PipelineConfig(**config_kw)
-    return run_pipeline(
+    return run_pipeline_once(
         QUESTION, music_schema, fixture_db, config, gateway, gold_query=GOLD
     )
 
@@ -142,8 +140,8 @@ def test_acceptance_comparator_oracle(fixture_db):
     for gold, pred, order_sensitive, expected in COMPARATOR_PAIRS:
         assert has_top_level_order_by(SqlQuery(gold)) is order_sensitive
         verdict = compare_results(
-            execute(fixture_db, SqlQuery(gold)),
-            execute(fixture_db, SqlQuery(pred)),
+            execute_once(fixture_db, SqlQuery(gold)),
+            execute_once(fixture_db, SqlQuery(pred)),
             order_sensitive,
         )
         if verdict is not expected:
@@ -152,8 +150,8 @@ def test_acceptance_comparator_oracle(fixture_db):
             disagreements += 1
         # reflexivity: EA(gold, gold) is always true
         reflexive = compare_results(
-            execute(fixture_db, SqlQuery(gold)),
-            execute(fixture_db, SqlQuery(gold)),
+            execute_once(fixture_db, SqlQuery(gold)),
+            execute_once(fixture_db, SqlQuery(gold)),
             order_sensitive,
         )
         assert reflexive is True
@@ -283,7 +281,7 @@ def test_acceptance_database_read_only(mini_dataset, fixture_db):
                 "DELETE FROM singer",          # rejected: read-only connection
                 "DROP TABLE album",            # rejected: read-only connection
                 "SELECT * FROM no_such_table"):
-        execute(fixture_db, SqlQuery(sql))
+        execute_once(fixture_db, SqlQuery(sql))
 
     after = {p: _digest(p) for p in watched}
     assert after == before

@@ -6,6 +6,7 @@ import yaml
 
 from nl2sql import evalkit
 from nl2sql.cli import main
+from nl2sql.gateway import read_replay_log
 
 from conftest import FULL_LINK_JSON, PLAN_JSON, CORRECTION_PLAN_JSON
 
@@ -106,6 +107,24 @@ def test_ask_without_executable_sql_exits_3(tmp_path, fixture_db, capsys):
     assert "no executable SQL: no SQL statement found" in captured.err
 
 
+def test_ask_runs_on_one_connection_closed_on_return(tmp_path, fixture_db,
+                                                    fixture_tables_file, connections,
+                                                    capsys):
+    gold = "SELECT COUNT(*) FROM singer"
+    config = write_config(tmp_path, ask_scripts("SELECT COUNT(*) FROM concert",
+                                                fixes=[gold]))
+    code = main([
+        "ask", "--config", config, "--db-file", fixture_db,
+        "--tables", fixture_tables_file,
+        "--question", "How many singers do we have?", "--gold", gold,
+    ])
+    assert code == 0
+    # the gold and the first candidate execute; the memo serves the fix
+    assert "attempts: 2" in capsys.readouterr().err
+    assert connections["opened"] == 1
+    assert connections["open"] == 0
+
+
 def test_ask_missing_db_is_data_error(tmp_path, capsys):
     config = write_config(tmp_path, ask_scripts("SELECT 1"))
     code = main([
@@ -169,6 +188,26 @@ def test_eval_reports_a_reply_with_a_lone_surrogate(tmp_path, fixture_tables_fil
     assert "valid SQL rate:      0.00%" in capsys.readouterr().out
     payload = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert payload["rows"][0]["final_sql"] == reply
+
+
+@pytest.mark.parametrize("with_cache", [True, False])
+def test_eval_logs_into_directories_that_do_not_exist(tmp_path, eval_assets, capsys,
+                                                      with_cache):
+    questions, tables, db_root, config = eval_assets
+    out = tmp_path / "runs" / "dev3"
+    argv = [
+        "eval", "--config", config, "--questions", questions,
+        "--tables", tables, "--db-root", db_root, "--parallelism", "1",
+        "--out", str(out), "--checkpoint", str(out / "rows.jsonl"),
+        "--trace-file", str(out / "traces.jsonl"),
+    ]
+    if with_cache:
+        argv += ["--cache-dir", str(out / "cache")]
+    assert main(argv) == 0
+    assert len((out / "rows.jsonl").read_bytes().splitlines()) == 3
+    assert len((out / "traces.jsonl").read_bytes().splitlines()) == 3
+    if with_cache:
+        assert len(read_replay_log(out / "cache")) == 3 * 4  # four stages a sample
 
 
 def test_eval_limit(tmp_path, eval_assets, capsys):
@@ -267,6 +306,24 @@ def test_trace_skips_torn_line(tmp_path, fixture_db, capsys):
     assert main(["trace", "--trace-file", str(trace_file)]) == 0
     out = capsys.readouterr().out
     assert out.count("=== sample q [solved] ===") == 1
+
+
+@pytest.mark.parametrize("broken", [
+    {"stages": [{}]}, {"stages": ["x"]}, {"attempts": [{}]},
+])
+def test_trace_skips_a_record_of_the_wrong_shape(tmp_path, fixture_db, capsys, broken):
+    config = write_config(tmp_path, ask_scripts("SELECT COUNT(*) FROM singer"))
+    trace_file = tmp_path / "trace.jsonl"
+    main(["ask", "--config", config, "--db-file", fixture_db,
+          "--question", "q", "--trace-file", str(trace_file)])
+    record = json.loads(trace_file.read_text(encoding="ascii"))
+    with open(trace_file, "a", encoding="ascii") as fh:
+        fh.write(json.dumps(dict(record, sample_id="bad", **broken)) + "\n")
+    capsys.readouterr()
+    assert main(["trace", "--trace-file", str(trace_file)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("=== sample q [solved] ===") == 1
+    assert "sample bad" not in out
 
 
 def test_trace_unknown_sample(tmp_path, fixture_db, capsys):

@@ -1,6 +1,5 @@
 import json
 import os
-import sqlite3
 import sys
 import threading
 from collections import Counter
@@ -31,14 +30,16 @@ from nl2sql.pipeline import (
     PipelineTrace,
     append_trace,
     load_traces,
-    run_pipeline,
 )
 
 from conftest import (
     FULL_LINK_JSON,
     PLAN_JSON,
     QuestionKeyedBackend,
+    build_fixture_db,
+    fixture_tables_entry,
     question_keyed_gateway,
+    run_pipeline_once,
 )
 
 # 10-sample mini benchmark over the music fixture database.
@@ -308,6 +309,26 @@ def test_resume_after_torn_checkpoint_line(dataset, tmp_path, caplog):
     assert second.aggregates["execution_accuracy"] == 90.00
 
 
+@pytest.mark.parametrize("field, value", [
+    ("index", [0]), ("attempts", "x"), ("tokens", None), ("cost", "c"),
+    ("cost", float("inf")),
+])
+def test_resume_skips_a_checkpoint_row_of_the_wrong_type(dataset, tmp_path, caplog,
+                                                         field, value):
+    samples, schemas, db_paths = dataset
+    checkpoint = tmp_path / "rows.jsonl"
+    first = evaluate(samples[:1], schemas, db_paths, PipelineConfig(), new_gateway(),
+                     parallelism=1, checkpoint_path=str(checkpoint))
+    row = asdict(first.rows[0])
+    checkpoint.write_text(json.dumps(dict(row, **{field: value})) + "\n")
+
+    report = evaluate(samples[:1], schemas, db_paths, PipelineConfig(), new_gateway(),
+                      parallelism=1, checkpoint_path=str(checkpoint))
+    assert "checkpoint" in caplog.text and "skipping unreadable line 1" in caplog.text
+    assert report.rows == first.rows  # the sample ran again
+    assert len(checkpoint.read_bytes().splitlines()) == 2
+
+
 def test_stage_errors_contained(dataset):
     samples, schemas, db_paths = dataset
 
@@ -478,14 +499,14 @@ def count_executions(monkeypatch, counted, outcome=None):
     lock = threading.Lock()
     execute = pipeline.execute
 
-    def counting_execute(db_file, query, timeout=30.0, connection=None):
+    def counting_execute(connection, query, timeout=30.0):
         if counted(query.text):
             with lock:
                 counts[query.text] += 1
         injected = outcome and outcome(query.text)
         if injected:
             return injected
-        return execute(db_file, query, timeout=timeout, connection=connection)
+        return execute(connection, query, timeout=timeout)
 
     monkeypatch.setattr(pipeline, "execute", counting_execute)
     return counts
@@ -576,10 +597,10 @@ def test_memo_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path):
              trace_path=str(traces))
     records = {t["sample_id"]: t for t in load_traces(str(traces))}
     for sample in samples:
-        alone = run_pipeline(sample.question, schemas["music"], db_paths["music"],
-                             PipelineConfig(), question_keyed_gateway(PAIRED_SQL),
-                             gold_query=sample.gold_query,
-                             sample_id=str(sample.index))
+        alone = run_pipeline_once(sample.question, schemas["music"], db_paths["music"],
+                                  PipelineConfig(), question_keyed_gateway(PAIRED_SQL),
+                                  gold_query=sample.gold_query,
+                                  sample_id=str(sample.index))
         assert records[str(sample.index)] == json.loads(json.dumps(asdict(alone.trace)))
 
 
@@ -699,32 +720,6 @@ def test_any_sql_reply_yields_a_row_and_a_report(reply, tmp_path, fixture_tables
 
 # --- held connections and logs -------------------------------------------------
 
-@pytest.fixture()
-def connections(monkeypatch):
-    """Counts the sqlite3 connections opened while the test runs: in total,
-    at most at once, and still open."""
-    counts = Counter()
-    lock = threading.Lock()
-    connect = sqlite3.connect
-
-    class Counted(sqlite3.Connection):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            with lock:
-                counts["opened"] += 1
-                counts["open"] += 1
-                counts["peak"] = max(counts["peak"], counts["open"])
-
-        def close(self):
-            with lock:
-                counts["open"] -= 1
-            super().close()
-
-    monkeypatch.setattr(sqlite3, "connect",
-                        lambda *args, **kwargs: connect(*args, factory=Counted, **kwargs))
-    return counts
-
-
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_one_connection_per_group_closed_when_it_ends(paired, connections, parallelism):
     samples, schemas, db_paths = paired
@@ -750,6 +745,43 @@ def test_group_connection_closed_when_a_sample_crashes(paired, connections, capl
     assert "sample 0 crashed" in caplog.text and "sample 2 crashed" in caplog.text
     assert connections["opened"] == len(PAIRED_GOLDS)
     assert connections["open"] == 0
+
+
+def test_group_whose_database_cannot_be_opened_scores_crashes(tmp_path, caplog):
+    root = tmp_path / "database"
+    for db_id in ("music", "music2"):
+        (root / db_id).mkdir(parents=True)
+        build_fixture_db(root / db_id / f"{db_id}.sqlite")
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps([fixture_tables_entry("music"),
+                                  fixture_tables_entry("music2")]))
+    questions = tmp_path / "dev.json"
+    questions.write_text(json.dumps([
+        {"question": q, "query": gold, "db_id": "music2" if i % 3 == 1 else "music"}
+        for i, (q, gold) in enumerate(DATASET)
+    ]))
+    samples, schemas, db_paths = load_dataset(str(questions), str(tables), str(root))
+    before = evaluate(samples, schemas, db_paths, PipelineConfig(), new_gateway(),
+                      parallelism=2)
+    os.remove(db_paths["music2"])
+    os.mkdir(db_paths["music2"])  # now connect_readonly raises OSError on it
+    lost = {s.index for s in samples if s.db_id == "music2"}
+
+    checkpoint, traces = tmp_path / "rows.jsonl", tmp_path / "traces.jsonl"
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(), new_gateway(),
+                      parallelism=2, checkpoint_path=str(checkpoint),
+                      trace_path=str(traces))
+    assert [r.index for r in report.rows] == list(range(len(DATASET)))
+    for row, old in zip(report.rows, before.rows):
+        if row.index in lost:
+            assert (row.ea, row.valid, row.attempts, row.stage_error) == (False, False, 0, True)
+            assert f"sample {row.index} crashed" in caplog.text
+        else:
+            assert row == old
+    checkpointed = [json.loads(line)["index"] for line in checkpoint.read_bytes().splitlines()]
+    assert sorted(checkpointed) == list(range(len(DATASET)))
+    traced = {int(t["sample_id"]) for t in load_traces(str(traces))}
+    assert traced == set(range(len(DATASET))) - lost
 
 
 def test_logs_hold_whole_lines_under_parallelism_8(tmp_path, fixture_tables_file, db_root):

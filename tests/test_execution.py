@@ -22,6 +22,8 @@ from nl2sql.execution import (
     sanitize,
 )
 
+from conftest import execute_once
+
 
 # --- sanitizer corpus -------------------------------------------------------
 
@@ -117,21 +119,21 @@ def guarded_db(fixture_db):
 
 
 def test_execute_count(guarded_db):
-    outcome = execute(guarded_db, SqlQuery("SELECT COUNT(*) FROM singer"))
+    outcome = execute_once(guarded_db, SqlQuery("SELECT COUNT(*) FROM singer"))
     assert outcome.status == "success"
     assert outcome.rows == [(6,)]
     assert outcome.column_count == 1
 
 
 def test_execute_missing_entity(guarded_db):
-    outcome = execute(guarded_db, SqlQuery("SELECT * FROM nonexistent"))
+    outcome = execute_once(guarded_db, SqlQuery("SELECT * FROM nonexistent"))
     assert outcome.status == "failure"
     assert outcome.error_kind == "missing_entity"
     assert "nonexistent" in outcome.message
 
 
 def test_execute_syntax_error(guarded_db):
-    outcome = execute(guarded_db, SqlQuery("SELECT FROM WHERE"))
+    outcome = execute_once(guarded_db, SqlQuery("SELECT FROM WHERE"))
     assert outcome.status == "failure"
     assert outcome.error_kind == "syntax"
 
@@ -141,33 +143,31 @@ def test_execute_timeout(guarded_db):
         "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "
         "SELECT count(*) FROM c"
     )
-    outcome = execute(guarded_db, slow, timeout=0.2)
+    outcome = execute_once(guarded_db, slow, timeout=0.2)
     assert outcome.status == "timeout"
 
 
 def test_execute_rejects_write_statements(guarded_db):
-    outcome = execute(guarded_db, SqlQuery("DELETE FROM singer"))
+    outcome = execute_once(guarded_db, SqlQuery("DELETE FROM singer"))
     assert outcome.status == "failure"
 
 
 def test_execute_write_via_cte_fails_readonly(guarded_db):
     # even a statement passing the keyword guard cannot write: mode=ro
-    outcome = execute(guarded_db, SqlQuery("SELECT * FROM singer"), timeout=5)
+    outcome = execute_once(guarded_db, SqlQuery("SELECT * FROM singer"), timeout=5)
     assert outcome.status == "success"
-    ro = execute(guarded_db, SqlQuery("WITH x AS (SELECT 1) INSERT INTO singer VALUES (99,'x','y',1)"))
+    ro = execute_once(guarded_db, SqlQuery("WITH x AS (SELECT 1) INSERT INTO singer VALUES (99,'x','y',1)"))
     assert ro.status == "failure"
 
 
 def test_execute_unreadable_file(tmp_path):
-    with pytest.raises(OSError):
-        execute(tmp_path / "missing" / "no.sqlite", SqlQuery("SELECT 1"))
     with pytest.raises(OSError):
         connect_readonly(tmp_path / "missing" / "no.sqlite")
 
 
 def test_execute_lone_surrogate_is_a_failure(guarded_db):
     # SQLite takes UTF-8 only; the query cannot reach it, and must not raise
-    outcome = execute(guarded_db, SqlQuery("SELECT 1 -- \ud800"))
+    outcome = execute_once(guarded_db, SqlQuery("SELECT 1 -- \ud800"))
     assert outcome.status == "failure"
     assert outcome.error_kind == "other"
 
@@ -186,7 +186,7 @@ def test_held_connection_cannot_write(guarded_db):
         assert conn.execute("PRAGMA query_only").fetchone() == (1,)
         for sql in ("DELETE FROM singer",
                     "WITH x AS (SELECT 1) INSERT INTO singer VALUES (99,'x','y',1)"):
-            assert execute(guarded_db, SqlQuery(sql), connection=conn).status == "failure"
+            assert execute(conn, SqlQuery(sql)).status == "failure"
     finally:
         conn.close()
 
@@ -198,13 +198,13 @@ def test_held_connection_after_timeout_runs_next_query_with_fresh_deadline(guard
     )
     conn = connect_readonly(guarded_db)
     try:
-        assert execute(guarded_db, slow, timeout=0.05, connection=conn).status == "timeout"
+        assert execute(conn, slow, timeout=0.05).status == "timeout"
         time.sleep(0.06)  # the first deadline has passed
         # long enough to reach the progress handler, so a stale deadline
         # would interrupt it
-        outcome = execute(guarded_db, COUNT_TO_100K, timeout=30, connection=conn)
+        outcome = execute(conn, COUNT_TO_100K, timeout=30)
         assert outcome.status == "success" and outcome.rows == [(100000,)]
-        again = execute(guarded_db, SqlQuery("SELECT COUNT(*) FROM singer"), connection=conn)
+        again = execute(conn, SqlQuery("SELECT COUNT(*) FROM singer"))
         assert again.rows == [(6,)]
     finally:
         conn.close()
@@ -213,7 +213,7 @@ def test_held_connection_after_timeout_runs_next_query_with_fresh_deadline(guard
 def test_held_connection_progress_handler_cleared_after_query(guarded_db):
     conn = connect_readonly(guarded_db)
     try:
-        execute(guarded_db, SqlQuery("SELECT 1"), timeout=0.01, connection=conn)
+        execute(conn, SqlQuery("SELECT 1"), timeout=0.01)
         time.sleep(0.02)
         # the caller's own statement runs past that query's deadline
         assert conn.execute(COUNT_TO_100K.text).fetchall() == [(100000,)]
@@ -265,7 +265,7 @@ def test_execute_canonicalizes_mixed_rows(tmp_path):
     ])
     conn.commit()
     conn.close()
-    outcome = execute(str(path), SqlQuery("SELECT a, b, c FROM t ORDER BY rowid"))
+    outcome = execute_once(str(path), SqlQuery("SELECT a, b, c FROM t ORDER BY rowid"))
     assert outcome.rows == [
         (1, "x", None), (2, "y", 3), (2.5, canonical_value(b"\x00"), None),
     ]
@@ -478,8 +478,8 @@ def oracle_verdict(db, gold, pred, order_sensitive):
 def test_comparator_agrees_with_oracle(guarded_db, gold, pred,
                                        order_sensitive, expected):
     assert has_top_level_order_by(SqlQuery(gold)) is order_sensitive
-    gold_outcome = execute(guarded_db, SqlQuery(gold))
-    pred_outcome = execute(guarded_db, SqlQuery(pred))
+    gold_outcome = execute_once(guarded_db, SqlQuery(gold))
+    pred_outcome = execute_once(guarded_db, SqlQuery(pred))
     verdict = compare_results(gold_outcome, pred_outcome, order_sensitive)
     assert verdict is expected
     assert oracle_verdict(guarded_db, gold, pred, order_sensitive) is expected
@@ -488,9 +488,9 @@ def test_comparator_agrees_with_oracle(guarded_db, gold, pred,
 def test_ea_reflexive_over_corpus(guarded_db):
     """EA(q, q) is true for every gold query that executes successfully."""
     for gold, _, order_sensitive, _ in COMPARATOR_PAIRS:
-        outcome = execute(guarded_db, SqlQuery(gold))
+        outcome = execute_once(guarded_db, SqlQuery(gold))
         assert outcome.status == "success"
-        again = execute(guarded_db, SqlQuery(gold))
+        again = execute_once(guarded_db, SqlQuery(gold))
         assert compare_results(outcome, again, order_sensitive)
 
 

@@ -14,10 +14,9 @@ from nl2sql.pipeline import (
     append_trace,
     load_traces,
     repeat_guard,
-    run_pipeline,
 )
 
-from conftest import scripted_gateway
+from conftest import run_pipeline_once, scripted_gateway
 
 QUESTION = "How many singers do we have?"
 GOLD = "SELECT COUNT(*) FROM singer"
@@ -33,7 +32,7 @@ OTHER_WRONGS = [
 
 def run(music_schema, fixture_db, gateway, **config_kw):
     config = PipelineConfig(**config_kw)
-    return run_pipeline(
+    return run_pipeline_once(
         QUESTION, music_schema, fixture_db, config, gateway, gold_query=GOLD
     )
 
@@ -95,11 +94,11 @@ def test_repeated_candidate_still_executes(music_schema, fixture_db, monkeypatch
     candidate = "SELECT count(*) FROM singer"
     calls = []
 
-    def flaky_execute(db_file, query, timeout=30.0, connection=None):
+    def flaky_execute(connection, query, timeout=30.0):
         calls.append(query.text)
         if len(calls) == 2:  # the first candidate; call 1 runs the gold query
             return ExecutionOutcome.timeout()
-        return execute(db_file, query, timeout=timeout, connection=connection)
+        return execute(connection, query, timeout=timeout)
 
     monkeypatch.setattr(pipeline, "execute", flaky_execute)
     gateway = scripted_gateway([candidate], correction_sql_responses=[candidate])
@@ -155,7 +154,7 @@ def test_execution_error_only_trigger(music_schema, fixture_db):
         ["SELECT namee FROM singer"],
         correction_sql_responses=["SELECT name FROM singer"],
     )
-    result = run_pipeline(QUESTION, music_schema, fixture_db, config, gateway)
+    result = run_pipeline_once(QUESTION, music_schema, fixture_db, config, gateway)
     assert result.trace.status == "solved"
     assert len(result.trace.attempts) == 2
     assert result.ea is None  # no gold supplied
@@ -165,7 +164,7 @@ def test_execution_error_only_trigger(music_schema, fixture_db):
 def test_execution_error_only_accepts_wrong_but_valid(music_schema, fixture_db):
     config = PipelineConfig(correction_trigger="execution_error_only")
     gateway = scripted_gateway([WRONG])
-    result = run_pipeline(QUESTION, music_schema, fixture_db, config, gateway)
+    result = run_pipeline_once(QUESTION, music_schema, fixture_db, config, gateway)
     assert result.trace.status == "solved"
     assert len(result.trace.attempts) == 1
 
@@ -173,8 +172,8 @@ def test_execution_error_only_accepts_wrong_but_valid(music_schema, fixture_db):
 def test_gold_mismatch_requires_gold(music_schema, fixture_db):
     config = PipelineConfig(correction_trigger="gold_mismatch")
     with pytest.raises(ValueError):
-        run_pipeline(QUESTION, music_schema, fixture_db, config,
-                     scripted_gateway([CORRECT]))
+        run_pipeline_once(QUESTION, music_schema, fixture_db, config,
+                          scripted_gateway([CORRECT]))
 
 
 def test_stage_error_trace_complete(music_schema, fixture_db):

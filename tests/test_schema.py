@@ -61,6 +61,44 @@ def test_load_tables_json_fk_index_out_of_range(tmp_path):
         load_tables_json(str(path))
 
 
+def _set_column_pair(entry, pair):
+    entry["column_names_original"][1] = pair
+
+
+def _cut_foreign_key_pair(entry):
+    entry["foreign_keys"][0] = entry["foreign_keys"][0][:1]
+
+
+def _set_table_name(entry, name):
+    entry["table_names_original"][0] = name
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda entry: _set_column_pair(entry, [0]),
+    _cut_foreign_key_pair,
+    lambda entry: _set_column_pair(entry, [0, 7]),
+    lambda entry: _set_table_name(entry, 7),
+], ids=["one-element column pair", "one-element foreign key pair",
+        "non-text column name", "non-text table name"])
+def test_load_tables_json_malformed_entry_is_a_format_error(tmp_path, corrupt):
+    entry = fixture_tables_entry()
+    corrupt(entry)
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(SchemaFormatError, match="malformed entry 0"):
+        load_tables_json(str(path))
+
+
+def test_load_tables_json_keeps_a_schema_error_as_is(tmp_path):
+    entry = fixture_tables_entry()
+    _set_table_name(entry, "SINGER")  # the same name as table 1
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(SchemaError, match="duplicate table") as raised:
+        load_tables_json(str(path))
+    assert type(raised.value) is SchemaError
+
+
 def test_load_tables_json_not_json(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text("not json at all {")
