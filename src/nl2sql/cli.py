@@ -170,7 +170,7 @@ def cmd_ask(args) -> int:
         )
     if args.trace_file:
         with AppendLog(args.trace_file) as log:
-            append_trace(result.trace, log)
+            append_trace([result.trace], log)
     if result.trace.status == "stage_error":
         print("stage error: " + "; ".join(result.trace.warnings), file=sys.stderr)
         return EXIT_STAGE_ERRORS

@@ -5,7 +5,7 @@ Per-sample isolation: one sample's crash is contained and scored false;
 long runs never die mid-batch.
 """
 
-import contextlib
+import collections
 import csv
 import io
 import json
@@ -14,7 +14,7 @@ import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
 from . import jsonl
@@ -184,9 +184,11 @@ def _crash_row(sample) -> SampleRow:
     )
 
 
-def _run_one(sample, schema, connection, config, gateway, prices, outcomes) -> tuple:
+def _run_one(sample, schema, connection, config, gateway, prices, outcomes,
+             gold_norm) -> tuple:
     """(SampleRow, PipelineResult) for one sample; the result is None when
-    the sample crashed."""
+    the sample crashed. ``gold_norm`` is ``_normalize_sql`` of the sample's
+    gold query."""
     try:
         result = run_pipeline(
             sample.question, schema, connection, config, gateway,
@@ -206,17 +208,9 @@ def _run_one(sample, schema, connection, config, gateway, prices, outcomes) -> t
         tokens=result.trace.total_tokens,
         cost=round(_row_cost(result.trace, prices), 8),
         stage_error=result.trace.status == "stage_error",
-        exact_match=bool(final_sql)
-        and _normalize_sql(final_sql) == _normalize_sql(sample.gold_query),
+        exact_match=bool(final_sql) and _normalize_sql(final_sql) == gold_norm,
     )
     return row, result
-
-
-def _gold_key(sample) -> tuple:
-    """Samples with equal keys form one group, which shares one outcome
-    memo: the database and the gold query exactly as run_pipeline executes
-    it, so 'Lyon' and 'lyon' stay apart."""
-    return sample.db_id, gold_sql(sample.gold_query)
 
 
 def _checkpoint_row(data) -> SampleRow:
@@ -242,54 +236,97 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
              checkpoint_path=None, trace_path=None, prices=None) -> RunReport:
     """Run the pipeline over a sample batch and report metrics.
 
-    Samples that share a database and gold query (paraphrased questions)
-    run back to back, in batch order, on one of the ``parallelism``
-    workers. Groups start in order of their first sample. Each group runs
-    its queries on one read-only connection and keeps one outcome memo
-    (see run_pipeline), both made when the group starts and dropped when it
-    ends: the gold query and each distinct candidate that succeeds are
-    executed once per group, and at most ``parallelism`` connections are
-    open. The database files must not change during the run. When a
-    group's database cannot be opened, each of its samples is logged and
-    scored as a crash.
+    Samples that share a database and gold query exactly as run_pipeline
+    executes it (paraphrased questions) form a group, which runs back to
+    back, in batch order, on one of the ``parallelism`` workers, and keeps
+    one outcome memo (see run_pipeline) from its start to its end: the gold
+    query and each distinct candidate that succeeds are executed once per
+    group. Groups start in database order (the order of each database's
+    first sample), then in order of their first sample.
+
+    A worker runs its queries on one read-only connection while its next
+    group is on the same database, and closes it when it moves to another
+    database or runs out of groups, so at most ``parallelism`` connections
+    are open. The database files must not change during the run. When a
+    database cannot be opened, each sample of the group is logged and
+    scored as a crash, and the worker's next group tries again.
 
     Resumable: rows already in the checkpoint file are not re-run, so an
-    interrupted batch picks up where it stopped. The checkpoint and trace
-    files are held open for the run and closed before this returns.
+    interrupted batch picks up where it stopped. When a group ends, its
+    trace lines and then its checkpoint rows are written, one write each;
+    a group cut off before then runs again in full when the batch resumes.
+    The checkpoint and trace files are held open for the run and closed
+    before this returns.
     """
     prices = prices or {}
     done = _read_checkpoint(checkpoint_path)
-    groups = {}
+    by_db = {}
     for sample in samples:
         if sample.index not in done:
-            groups.setdefault(_gold_key(sample), []).append(sample)
+            by_db.setdefault(sample.db_id, {}).setdefault(
+                gold_sql(sample.gold_query).text, []).append(sample)
+    pending = collections.deque(group for groups in by_db.values()
+                                for group in groups.values())
 
     checkpoint = jsonl.AppendLog(checkpoint_path) if checkpoint_path else None
     traces = jsonl.AppendLog(trace_path) if trace_path else None
 
-    def record(row, result):
-        if result is not None and traces is not None:
-            append_trace(result.trace, traces)
+    def log_group(ran):
+        """Writes the trace lines and then the checkpoint rows of a group's
+        (row, result) pairs, and returns its rows."""
+        if traces is not None:
+            finished = [result.trace for _, result in ran if result is not None]
+            if finished:
+                append_trace(finished, traces)
+        rows = [row for row, _ in ran]
         if checkpoint is not None:
-            checkpoint.append(vars(row))
-        return row
+            checkpoint.extend(vars(row) for row in rows)
+        return rows
 
-    def work(group):
+    def work():
+        """Runs groups until none is pending; returns their rows."""
+        rows = []
+        db_id = connection = None
         try:
-            connection = connect_readonly(db_paths[group[0].db_id])
-        except OSError:
-            return [record(_crash_row(sample), None) for sample in group]
-        outcomes = {}
-        with contextlib.closing(connection):
-            return [record(*_run_one(sample, schemas[sample.db_id], connection, config,
-                                     gateway, prices, outcomes))
-                    for sample in group]
+            while True:
+                try:
+                    group = pending.popleft()
+                except IndexError:
+                    return rows
+                if group[0].db_id != db_id:
+                    if connection is not None:
+                        connection.close()
+                    db_id = connection = None
+                    try:
+                        connection = connect_readonly(db_paths[group[0].db_id])
+                    except OSError:
+                        rows += log_group([(_crash_row(s), None) for s in group])
+                        continue
+                    db_id = group[0].db_id
+                outcomes = {}
+                gold_norm = _normalize_sql(group[0].gold_query)
+                rows += log_group([
+                    _run_one(sample, schemas[db_id], connection, config, gateway,
+                             prices, outcomes, gold_norm)
+                    for sample in group])
+        except BaseException:
+            pending.clear()  # the other workers stop after their current group
+            raise
+        finally:
+            if connection is not None:
+                connection.close()
 
     rows = list(done.values())
+    workers = max(1, min(parallelism, len(pending)))
     try:
-        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-            for group_rows in pool.map(work, groups.values()):
-                rows.extend(group_rows)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(work) for _ in range(workers)]
+            try:
+                for future in futures:
+                    rows += future.result()
+            except BaseException:
+                pending.clear()
+                raise
     finally:
         for log in (checkpoint, traces):
             if log is not None:
@@ -298,6 +335,26 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     wanted = {s.index for s in samples}
     rows = sorted((r for r in rows if r.index in wanted), key=lambda r: r.index)
     return RunReport(rows=rows, aggregates=compute_metrics(rows))
+
+
+# Writes an object with the separators json.dumps(indent=2) puts between
+# the fields of an object at depth 2, but with json's C encoder, which it
+# uses only when no indent is asked for.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                                separators=(",\n      ", ": "))
+
+
+def _report_json(report: RunReport) -> str:
+    """``json.dumps({"aggregates": ..., "rows": [...]}, indent=2,
+    sort_keys=True, ensure_ascii=False)`` of the report, with each row
+    written by ``_ROW_ENCODER``: every SampleRow field is a scalar, so only
+    the row's braces need their own lines."""
+    aggregates = json.dumps(report.aggregates, indent=2, sort_keys=True,
+                            ensure_ascii=False).replace("\n", "\n  ")
+    rows = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(vars(r))[1:-1] + "\n    }"
+                           for r in report.rows)
+    rows = f"[\n    {rows}\n  ]" if rows else "[]"
+    return f'{{\n  "aggregates": {aggregates},\n  "rows": {rows}\n}}'
 
 
 def write_report(report: RunReport, out_dir) -> dict:
@@ -312,15 +369,10 @@ def write_report(report: RunReport, out_dir) -> dict:
         "summary": os.path.join(str(out_dir), "summary.txt"),
     }
 
-    payload = {
-        "aggregates": report.aggregates,
-        "rows": [asdict(r) for r in report.rows],
-    }
     # A lone surrogate, which no encoding can write, goes out as its \uXXXX
     # escape: in report.json that is the JSON escape of the same character.
     with open(paths["json"], "w", encoding="utf-8", errors="backslashreplace") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(_report_json(report) + "\n")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -2,12 +2,12 @@
 and the trace file share this one read and append policy.
 
 A record is one line of ASCII-escaped JSON with sorted keys, so any ``str``
-round-trips, lone surrogates included. An appender writes each line with a
-single ``os.write`` on an ``O_APPEND`` descriptor under a lock, so lines
-from threads sharing the log do not interleave, nor, on a local file
-system, lines from processes sharing the file. A
-line that does not decode, such as the torn tail a kill mid-write leaves,
-is skipped by the reader and written past by the next appender.
+round-trips, lone surrogates included. An appender writes each batch of
+lines with a single ``os.write`` on an ``O_APPEND`` descriptor under a lock,
+so lines from threads sharing the log do not interleave, nor, on a local
+file system, lines from processes sharing the file. A line that does not
+decode, such as the torn tail a kill mid-write leaves, is skipped by the
+reader and written past by the next appender.
 """
 
 import dataclasses
@@ -85,13 +85,21 @@ class AppendLog:
         self._close_fd = None  # weakref.finalize closing _fd
 
     def append(self, record) -> None:
-        line = (json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n").encode("ascii")
+        self.extend((record,))
+
+    def extend(self, records) -> None:
+        """Appends one line per record, all with one ``os.write`` (more
+        only when the system writes less than asked); nothing for none."""
+        data = "".join(json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n"
+                       for record in records).encode("ascii")
+        if not data:
+            return
         with self._lock:
             if self._fd is None:
                 self._fd = _open_for_append(self.path)
                 self._close_fd = weakref.finalize(self, os.close, self._fd)
-            while line:
-                line = line[os.write(self._fd, line):]
+            while data:
+                data = data[os.write(self._fd, data):]
 
     def close(self) -> None:
         with self._lock:

@@ -272,15 +272,16 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     return PipelineResult(query, outcome, ea, trace)
 
 
-def append_trace(trace: PipelineTrace, log: jsonl.AppendLog) -> None:
-    """Append one JSON line for ``trace`` to a trace log. The record is
-    built from the dataclasses' own fields without copying them, and decodes
-    equal to ``dataclasses.asdict(trace)``."""
-    log.append(dict(
+def append_trace(traces, log: jsonl.AppendLog) -> None:
+    """Append one JSON line per PipelineTrace in ``traces`` to a trace log,
+    all in one write. Each record is built from the dataclasses' own fields
+    without copying them, and decodes equal to ``dataclasses.asdict`` of its
+    trace."""
+    log.extend(dict(
         vars(trace),
         stages=[vars(stage) for stage in trace.stages],
         attempts=[vars(attempt) for attempt in trace.attempts],
-    ))
+    ) for trace in traces)
 
 
 def _trace_record(value) -> dict:

@@ -5,6 +5,7 @@ concurrent pipeline runs.
 """
 
 import contextlib
+import functools
 import json
 import sqlite3
 from dataclasses import dataclass, field
@@ -58,6 +59,12 @@ class DatabaseSchema:
         if t is None:
             return False
         return column.lower() in {c.lower() for c in t.column_names()}
+
+    @functools.cached_property
+    def full_text(self) -> str:
+        """``render_schema_text``'s text for this schema, built at its
+        first use."""
+        return _render_full(self)
 
 
 @dataclass
@@ -153,6 +160,10 @@ def _schema_from_entry(entry: dict) -> DatabaseSchema:
         raise SchemaError(f"{db_id}: empty table list")
     if not all(isinstance(name, str) for name in table_names):
         raise TypeError("a table name is not text")
+    if len(col_pairs) != len(col_types):
+        raise ValueError(
+            f"{db_id}: {len(col_pairs)} column_names_original but "
+            f"{len(col_types)} column_types")
 
     columns_by_table = {i: [] for i in range(len(table_names))}
     col_locations = []  # column index -> (table index, name)
@@ -289,7 +300,7 @@ def render_schema_text(schema, parent: DatabaseSchema | None = None) -> str:
     prompt text. Identical input yields byte-identical output."""
     if isinstance(schema, LinkedSchema):
         return _render_linked(schema, parent)
-    return _render_full(schema)
+    return schema.full_text
 
 
 def _render_full(schema: DatabaseSchema) -> str:

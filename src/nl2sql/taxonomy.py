@@ -4,6 +4,7 @@ Nine categories, thirty-one coded subtypes. Codes are stable identifiers;
 titles and hints may evolve without breaking parse compatibility.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -20,6 +21,11 @@ class ErrorCode:
 class Taxonomy:
     categories: tuple  # of (id, name)
     codes: tuple  # of ErrorCode
+
+    @functools.cached_property
+    def summary(self) -> str:
+        """``render_summary``'s text, built at its first use."""
+        return _summary_text(self)
 
 
 _CATEGORIES = (
@@ -105,8 +111,10 @@ _CODES = (
 CODE_PATTERN = re.compile(r"\b[A-Z]{2,4}-\d{2}\b")
 
 
+@functools.cache
 def default_taxonomy() -> Taxonomy:
-    """Built-in catalog: 9 categories, 31 codes."""
+    """Built-in catalog: 9 categories, 31 codes; one shared object per
+    process."""
     return Taxonomy(
         categories=_CATEGORIES,
         codes=tuple(ErrorCode(*row) for row in _CODES),
@@ -117,8 +125,13 @@ def render_summary(taxonomy: Taxonomy) -> str:
     """Compact deterministic listing for embedding in prompts.
 
     One line per code, grouped under category headers; kept short so the
-    whole catalog fits in a prompt without crowding out the question.
+    whole catalog fits in a prompt without crowding out the question. Built
+    once per Taxonomy object.
     """
+    return taxonomy.summary
+
+
+def _summary_text(taxonomy: Taxonomy) -> str:
     lines = []
     for cat_id, cat_name in taxonomy.categories:
         lines.append(f"## {cat_name} ({cat_id})")

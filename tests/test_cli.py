@@ -8,7 +8,7 @@ from nl2sql import evalkit
 from nl2sql.cli import main
 from nl2sql.gateway import read_replay_log
 
-from conftest import FULL_LINK_JSON, PLAN_JSON, CORRECTION_PLAN_JSON
+from conftest import FULL_LINK_JSON, PLAN_JSON, CORRECTION_PLAN_JSON, fixture_tables_entry
 
 
 def write_config(tmp_path, scripts, **extra):
@@ -277,6 +277,20 @@ def test_eval_non_text_query_exits_2(tmp_path, eval_assets, capsys):
     ])
     assert code == 2
     assert "malformed entry 0: 'query' is not text" in capsys.readouterr().err
+
+
+def test_eval_tables_entry_short_of_column_types_exits_2(tmp_path, eval_assets, capsys):
+    questions, _, db_root, config = eval_assets
+    entry = fixture_tables_entry()
+    entry["column_types"].pop()
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps([entry]))
+    code = main([
+        "eval", "--config", config, "--questions", questions,
+        "--tables", str(tables), "--db-root", db_root, "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "malformed entry 0: music:" in capsys.readouterr().err
 
 
 def test_trace_inspection(tmp_path, fixture_db, capsys):

@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import os
 import sys
@@ -6,10 +8,12 @@ from collections import Counter
 from dataclasses import asdict
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 import hypothesis.strategies as st
 
-from nl2sql import evalkit
+from nl2sql import evalkit, jsonl, taxonomy
+from nl2sql import schema as schema_module
+from nl2sql.cli import main
 from nl2sql.evalkit import (
     DatasetError,
     MetricsError,
@@ -411,6 +415,33 @@ def test_write_report_escapes_a_lone_surrogate(tmp_path):
         assert "SELECT 1 -- \\ud800" in fh.read()
 
 
+_row_text = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from('\ud800\udfff\x00",\n{}[]: \\'), max_size=12)
+_rows = st.lists(st.builds(
+    SampleRow, index=st.integers(0, 10**6), db_id=_row_text, final_sql=_row_text,
+    ea=st.booleans(), valid=st.booleans(), attempts=st.integers(0, 9),
+    tokens=st.integers(0, 10**7), cost=st.floats(allow_nan=False, allow_infinity=False),
+    stage_error=st.booleans(), exact_match=st.booleans()), max_size=4)
+
+
+@given(rows=_rows, histogram=st.dictionaries(st.sampled_from("0123"), st.integers(0, 9)))
+@example(rows=[SampleRow(index=0, db_id="music", final_sql="SELECT 1 -- \ud800 ü", ea=False,
+                         valid=False, attempts=1, tokens=3, cost=1e-06, stage_error=False,
+                         exact_match=False)],
+         histogram={"1": 1})
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_report_json_equals_the_streamed_asdict_dump(rows, histogram, tmp_path):
+    aggregates = dict(compute_metrics(make_rows(1, 2)), attempts_histogram=histogram)
+    write_report(RunReport(rows=rows, aggregates=aggregates), tmp_path / "out")
+    streamed = tmp_path / "streamed.json"  # how report.json was written before
+    with open(streamed, "w", encoding="utf-8", errors="backslashreplace") as fh:
+        json.dump({"aggregates": aggregates, "rows": [asdict(r) for r in rows]},
+                  fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+    assert (tmp_path / "out" / "report.json").read_bytes() == streamed.read_bytes()
+
+
 def test_exact_match_diagnostic(dataset):
     samples, schemas, db_paths = dataset
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
@@ -580,13 +611,14 @@ def test_each_distinct_query_executes_once_per_group(paired, executions, paralle
     }
 
 
-def test_memo_does_not_outlive_its_group(paired, executions):
+def test_memo_does_not_outlive_its_group(paired, executions, connections):
     samples, schemas, db_paths = paired
     # two groups on one database whose samples reply with the same candidate
     report = evaluate([samples[1], samples[3]], schemas, db_paths, PipelineConfig(),
                       question_keyed_gateway(PAIRED_SQL), parallelism=1)
     assert [r.ea for r in report.rows] == [True, False]
     assert executions["select name FROM stadium WHERE city = 'Leeds'"] == 2
+    assert connections["opened"] == 1  # the connection outlives the group
 
 
 def test_memo_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path):
@@ -659,7 +691,7 @@ def test_resume_keeps_one_trace_per_sample(dataset, tmp_path):
              parallelism=1, checkpoint_path=str(checkpoint), trace_path=str(traces))
     # a kill after sample 2's trace line and before its checkpoint row
     with AppendLog(traces) as log:
-        append_trace(PipelineTrace(sample_id="2", status="stage_error"), log)
+        append_trace([PipelineTrace(sample_id="2", status="stage_error")], log)
 
     evaluate(samples[:4], schemas, db_paths, PipelineConfig(), new_gateway(),
              parallelism=1, checkpoint_path=str(checkpoint), trace_path=str(traces))
@@ -718,15 +750,86 @@ def test_any_sql_reply_yields_a_row_and_a_report(reply, tmp_path, fixture_tables
     assert payload["rows"][0]["final_sql"] == report.rows[0].final_sql
 
 
-# --- held connections and logs -------------------------------------------------
+# --- worker sessions, held connections and logs ------------------------------
 
-@pytest.mark.parametrize("parallelism", [1, 2])
-def test_one_connection_per_group_closed_when_it_ends(paired, connections, parallelism):
-    samples, schemas, db_paths = paired
+@pytest.fixture()
+def two_databases(tmp_path):
+    """PAIRED twice, its samples alternating between two copies of the
+    fixture database: music holds the even indexes, music2 the odd."""
+    root = tmp_path / "database"
+    for db_id in ("music", "music2"):
+        (root / db_id).mkdir(parents=True)
+        build_fixture_db(root / db_id / f"{db_id}.sqlite")
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps([fixture_tables_entry("music"),
+                                  fixture_tables_entry("music2")]))
+    questions = tmp_path / "dev.json"
+    questions.write_text(json.dumps([
+        {"question": q, "query": gold, "db_id": ("music", "music2")[i % 2]}
+        for i, (q, gold) in enumerate(PAIRED * 2)
+    ]))
+    return load_dataset(str(questions), str(tables), str(root))
+
+
+# music's groups by first sample: singer 0 2 6, Leeds 4 8, leeds 10,
+# concert 12; then music2's: Leeds 1 11, leeds 3, concert 5, singer 7 9 13.
+TWO_DATABASE_ORDER = [0, 2, 6, 4, 8, 10, 12, 1, 11, 3, 5, 7, 9, 13]
+# report.json of the two-database batch at parallelism 1, as written before
+# groups were scheduled in database order.
+TWO_DATABASE_REPORT_SHA256 = "57cd46c483a52fa71987b3d9907784d67f064e7db008991ece3270b8b85630ce"
+
+
+@pytest.fixture()
+def sessions(monkeypatch):
+    """Per worker thread: the connect_readonly calls it made, and each
+    sample it ran with the connection it ran on, in order."""
+    opens, ran = Counter(), {}
+    lock = threading.Lock()
+    connect, run_one = evalkit.connect_readonly, evalkit._run_one
+
+    def counting_connect(path):
+        with lock:
+            opens[threading.get_ident()] += 1
+        return connect(path)
+
+    def recording_run_one(sample, schema, connection, *args):
+        with lock:
+            ran.setdefault(threading.get_ident(), []).append((sample, connection))
+        return run_one(sample, schema, connection, *args)
+
+    monkeypatch.setattr(evalkit, "connect_readonly", counting_connect)
+    monkeypatch.setattr(evalkit, "_run_one", recording_run_one)
+    return opens, ran
+
+
+def test_groups_start_in_database_then_first_sample_order(two_databases, sessions):
+    samples, schemas, db_paths = two_databases
+    evaluate(samples, schemas, db_paths, PipelineConfig(),
+             question_keyed_gateway(PAIRED_SQL), parallelism=1)
+    _, ran = sessions
+    [order] = ran.values()
+    assert [sample.index for sample, _ in order] == TWO_DATABASE_ORDER
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+def test_worker_holds_one_connection_per_run_of_groups_on_a_database(
+        two_databases, sessions, connections, parallelism):
+    samples, schemas, db_paths = two_databases
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
                       question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
-    assert [r.ea for r in report.rows] == PAIRED_EA
-    assert connections["opened"] == len(PAIRED_GOLDS)  # one per (db, gold) group
+    assert [r.ea for r in report.rows] == PAIRED_EA * 2
+    opens, ran = sessions
+    assert sum(len(order) for order in ran.values()) == len(samples)
+    for thread, order in ran.items():
+        runs = sum(i == 0 or sample.db_id != order[i - 1][0].db_id
+                   for i, (sample, _) in enumerate(order))
+        # the connections stay referenced in ``order``, so ids are unique
+        assert len({id(connection) for _, connection in order}) == runs
+        assert opens[thread] == runs
+    assert connections["opened"] == sum(opens.values())
+    if parallelism == 1:
+        assert connections["opened"] == 2  # one per database
+    assert connections["opened"] <= 2 * parallelism
     assert connections["peak"] <= parallelism
     assert connections["open"] == 0
 
@@ -743,11 +846,12 @@ def test_group_connection_closed_when_a_sample_crashes(paired, connections, capl
                       route=ModelRoute.uniform("t", "fixture-model"))
     evaluate(samples, schemas, db_paths, PipelineConfig(), gateway, parallelism=2)
     assert "sample 0 crashed" in caplog.text and "sample 2 crashed" in caplog.text
-    assert connections["opened"] == len(PAIRED_GOLDS)
+    assert 1 <= connections["opened"] <= 2  # one database, two workers
     assert connections["open"] == 0
 
 
-def test_group_whose_database_cannot_be_opened_scores_crashes(tmp_path, caplog):
+def test_group_whose_database_cannot_be_opened_scores_crashes(tmp_path, caplog,
+                                                              connections):
     root = tmp_path / "database"
     for db_id in ("music", "music2"):
         (root / db_id).mkdir(parents=True)
@@ -782,6 +886,19 @@ def test_group_whose_database_cannot_be_opened_scores_crashes(tmp_path, caplog):
     assert sorted(checkpointed) == list(range(len(DATASET)))
     traced = {int(t["sample_id"]) for t in load_traces(str(traces))}
     assert traced == set(range(len(DATASET))) - lost
+    assert connections["open"] == 0
+
+
+def test_report_identical_across_parallelism_and_to_the_file_order_schedule(
+        two_databases, tmp_path):
+    samples, schemas, db_paths = two_databases
+    for parallelism in (1, 4):
+        report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                          question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
+        write_report(report, tmp_path / str(parallelism))
+    raw = (tmp_path / "1" / "report.json").read_bytes()
+    assert raw == (tmp_path / "4" / "report.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == TWO_DATABASE_REPORT_SHA256
 
 
 def test_logs_hold_whole_lines_under_parallelism_8(tmp_path, fixture_tables_file, db_root):
@@ -806,31 +923,142 @@ def test_logs_hold_whole_lines_under_parallelism_8(tmp_path, fixture_tables_file
     assert sorted(int(t["sample_id"]) for t in traced) == list(range(len(samples)))
 
 
+def _log_writes(monkeypatch, fail_at=None):
+    """Counts the ``os.write`` calls made on descriptors of JSON-lines logs;
+    the ``fail_at``-th of them raises ENOSPC without writing."""
+    fds, writes = set(), Counter()
+    open_for_append, write = jsonl._open_for_append, os.write
+
+    def recording_open(path):
+        fd = open_for_append(path)
+        fds.add(fd)
+        return fd
+
+    def failing_write(fd, data):
+        if fd in fds:
+            writes[fd] += 1
+            if sum(writes.values()) == fail_at:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return write(fd, data)
+
+    monkeypatch.setattr(jsonl, "_open_for_append", recording_open)
+    monkeypatch.setattr(os, "write", failing_write)
+    return writes
+
+
+def test_one_write_per_group_and_log(paired, tmp_path, monkeypatch):
+    samples, schemas, db_paths = paired
+    writes = _log_writes(monkeypatch)
+    checkpoint, traces = tmp_path / "rows.jsonl", tmp_path / "traces.jsonl"
+    evaluate(samples, schemas, db_paths, PipelineConfig(),
+             question_keyed_gateway(PAIRED_SQL), parallelism=1,
+             checkpoint_path=str(checkpoint), trace_path=str(traces))
+    assert sorted(writes.values()) == [len(PAIRED_GOLDS)] * 2
+    # a group's trace lines go out before its checkpoint rows
+    assert [int(t["sample_id"]) for t in map(json.loads, traces.read_text().splitlines())] \
+        == [json.loads(line)["index"] for line in checkpoint.read_text().splitlines()] \
+        == [0, 2, 6, 1, 4, 3, 5]
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("fail_at", [1, 2, 5, 8])
+def test_resume_after_a_failed_log_write(paired, tmp_path, monkeypatch, parallelism,
+                                         fail_at):
+    samples, schemas, db_paths = paired
+    checkpoint, traces = tmp_path / "rows.jsonl", tmp_path / "traces.jsonl"
+    with monkeypatch.context() as patch:
+        _log_writes(patch, fail_at)
+        with pytest.raises(OSError, match="No space left"):
+            evaluate(samples, schemas, db_paths, PipelineConfig(),
+                     question_keyed_gateway(PAIRED_SQL), parallelism=parallelism,
+                     checkpoint_path=str(checkpoint), trace_path=str(traces))
+    for path in (checkpoint, traces):  # only whole lines
+        raw = path.read_bytes() if path.exists() else b""
+        assert raw == b"" or raw.endswith(b"\n")
+        for line in raw.splitlines():
+            json.loads(line)
+    kept = set(evalkit._read_checkpoint(str(checkpoint)))
+    assert len(kept) < len(PAIRED)
+
+    ran = []
+    run_one = evalkit._run_one
+    monkeypatch.setattr(evalkit, "_run_one",
+                        lambda sample, *args: ran.append(sample.index) or run_one(sample, *args))
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=parallelism,
+                      checkpoint_path=str(checkpoint), trace_path=str(traces))
+    assert sorted(ran) == sorted(set(range(len(PAIRED))) - kept)
+    assert [r.ea for r in report.rows] == PAIRED_EA
+    assert sorted(json.loads(line)["index"]
+                  for line in checkpoint.read_bytes().splitlines()) == list(range(len(PAIRED)))
+    assert main(["trace", "--trace-file", str(traces)]) == 0  # nl2sql trace reads it
+    assert sorted(int(t["sample_id"]) for t in load_traces(str(traces))) \
+        == list(range(len(PAIRED)))
+
+
 def _open_descriptors():
     return len(os.listdir("/proc/self/fd"))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts descriptors in /proc/self/fd (Linux)")
-def test_no_descriptor_left_open_after_evaluate(dataset, tmp_path, monkeypatch):
-    samples, schemas, db_paths = dataset
+def test_no_descriptor_left_open_after_evaluate(two_databases, tmp_path, monkeypatch):
+    samples, schemas, db_paths = two_databases
     before = _open_descriptors()
-    evaluate(samples, schemas, db_paths, PipelineConfig(), new_gateway(), parallelism=4,
+    evaluate(samples, schemas, db_paths, PipelineConfig(),
+             question_keyed_gateway(PAIRED_SQL), parallelism=4,
              checkpoint_path=str(tmp_path / "a.jsonl"), trace_path=str(tmp_path / "a.t"))
     assert _open_descriptors() == before
 
-    calls = Counter()
+    for fail_at in (1, 2, 3):  # a trace write, then a checkpoint write, ...
+        logs = tmp_path / str(fail_at)
+        with monkeypatch.context() as patch:
+            _log_writes(patch, fail_at)
+            with pytest.raises(OSError, match="No space left"):
+                evaluate(samples, schemas, db_paths, PipelineConfig(),
+                         question_keyed_gateway(PAIRED_SQL), parallelism=4,
+                         checkpoint_path=str(logs / "b.jsonl"),
+                         trace_path=str(logs / "b.t"))
+        assert (logs / "b.jsonl").exists() and (logs / "b.t").exists()
+        assert _open_descriptors() == before
 
-    def append_then_fail(trace, log):
-        calls["n"] += 1
-        if calls["n"] > 2:  # both logs are open by now
-            raise OSError("disk full")
-        append_trace(trace, log)
 
-    monkeypatch.setattr(evalkit, "append_trace", append_then_fail)
-    with pytest.raises(OSError, match="disk full"):
-        evaluate(samples, schemas, db_paths, PipelineConfig(), new_gateway(),
-                 parallelism=1, checkpoint_path=str(tmp_path / "b.jsonl"),
-                 trace_path=str(tmp_path / "b.t"))
-    assert (tmp_path / "b.jsonl").exists() and (tmp_path / "b.t").exists()
-    assert _open_descriptors() == before
+def test_gold_normalized_once_per_group(paired, monkeypatch):
+    golds = {sample.gold_query for sample in paired[0]}
+    normalized = Counter()
+    normalize = evalkit._normalize_sql
+
+    def counting_normalize(text):
+        if text in golds:
+            normalized["gold"] += 1
+        return normalize(text)
+
+    monkeypatch.setattr(evalkit, "_normalize_sql", counting_normalize)
+    samples, schemas, db_paths = paired
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=1)
+    assert normalized["gold"] == len(PAIRED_GOLDS)
+    # each final query differs from its gold only outside literals, or not at all
+    assert [r.exact_match for r in report.rows] == PAIRED_EA
+
+
+def test_prompt_invariants_built_once_per_run(paired, monkeypatch):
+    built = Counter()
+
+    def counting(name, build):
+        def counted(obj):
+            built[name] += 1
+            return build(obj)
+        return counted
+
+    monkeypatch.setattr(taxonomy, "_summary_text",
+                        counting("summary", taxonomy._summary_text))
+    monkeypatch.setattr(schema_module, "_render_full",
+                        counting("schema text", schema_module._render_full))
+    taxonomy.default_taxonomy.cache_clear()
+    samples, schemas, db_paths = paired  # freshly loaded: no text built yet
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=1)
+    assert any(r.attempts > 1 for r in report.rows)  # a correction round ran
+    assert taxonomy.default_taxonomy.cache_info().misses == 1
+    assert built == {"summary": 1, "schema text": 1}

@@ -239,9 +239,9 @@ def test_trace_persistence_roundtrip(tmp_path, music_schema, fixture_db):
     result = run(music_schema, fixture_db, gateway)
     path = tmp_path / "trace.jsonl"
     with AppendLog(path) as log:
-        append_trace(result.trace, log)
+        append_trace([result.trace], log)
         result.trace.status = "exhausted"
-        append_trace(result.trace, log)
+        append_trace([result.trace], log)
     assert len(path.read_text().splitlines()) == 2
     records = load_traces(path)
     assert len(records) == 1  # one per sample id: the last one written
@@ -257,7 +257,7 @@ def test_trace_line_decodes_equal_to_asdict(tmp_path, music_schema, fixture_db):
     trace.add_warning("trace-level ☃")
     path = tmp_path / "trace.jsonl"
     with AppendLog(path) as log:
-        append_trace(trace, log)
+        append_trace([trace], log)
     line = path.read_bytes()
     assert line.isascii() and line.endswith(b"\n") and line.count(b"\n") == 1
     assert json.loads(line) == asdict(trace)
@@ -267,14 +267,14 @@ def test_load_traces_skips_torn_line(tmp_path, music_schema, fixture_db):
     result = run(music_schema, fixture_db, scripted_gateway([CORRECT]))
     path = tmp_path / "trace.jsonl"
     with AppendLog(path) as log:
-        append_trace(result.trace, log)
+        append_trace([result.trace], log)
     with open(path, "a", encoding="ascii") as fh:
         fh.write('[1]\n{"sample_id": "torn", "stag')  # a foreign line, then a torn tail
     records = load_traces(path)
     assert [r["sample_id"] for r in records] == [result.trace.sample_id]
     result.trace.sample_id = "next"
     with AppendLog(path) as log:  # the next record starts its own line
-        append_trace(result.trace, log)
+        append_trace([result.trace], log)
     assert [r["sample_id"] for r in load_traces(path)] == [QUESTION, "next"]
 
 

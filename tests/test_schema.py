@@ -89,6 +89,23 @@ def test_load_tables_json_malformed_entry_is_a_format_error(tmp_path, corrupt):
         load_tables_json(str(path))
 
 
+@pytest.mark.parametrize("keep_foreign_keys", [True, False])
+def test_load_tables_json_rejects_fewer_column_types_than_columns(tmp_path,
+                                                                   keep_foreign_keys):
+    entry = fixture_tables_entry()
+    entry["column_types"].pop()  # the last column, which a foreign key names
+    if not keep_foreign_keys:
+        last = len(entry["column_names_original"]) - 1
+        entry["foreign_keys"] = [fk for fk in entry["foreign_keys"] if last not in fk]
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([entry]))
+    count = len(entry["column_names_original"])
+    with pytest.raises(SchemaFormatError,
+                       match=f"malformed entry 0: music: {count} column_names_original "
+                             f"but {count - 1} column_types"):
+        load_tables_json(str(path))
+
+
 def test_load_tables_json_keeps_a_schema_error_as_is(tmp_path):
     entry = fixture_tables_entry()
     _set_table_name(entry, "SINGER")  # the same name as table 1
