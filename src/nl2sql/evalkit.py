@@ -337,26 +337,6 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     return RunReport(rows=rows, aggregates=compute_metrics(rows))
 
 
-# Writes an object with the separators json.dumps(indent=2) puts between
-# the fields of an object at depth 2, but with json's C encoder, which it
-# uses only when no indent is asked for.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
-                                separators=(",\n      ", ": "))
-
-
-def _report_json(report: RunReport) -> str:
-    """``json.dumps({"aggregates": ..., "rows": [...]}, indent=2,
-    sort_keys=True, ensure_ascii=False)`` of the report, with each row
-    written by ``_ROW_ENCODER``: every SampleRow field is a scalar, so only
-    the row's braces need their own lines."""
-    aggregates = json.dumps(report.aggregates, indent=2, sort_keys=True,
-                            ensure_ascii=False).replace("\n", "\n  ")
-    rows = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(vars(r))[1:-1] + "\n    }"
-                           for r in report.rows)
-    rows = f"[\n    {rows}\n  ]" if rows else "[]"
-    return f'{{\n  "aggregates": {aggregates},\n  "rows": {rows}\n}}'
-
-
 def write_report(report: RunReport, out_dir) -> dict:
     """Emit report.json (full fidelity), per_sample.csv, and summary.txt.
 
@@ -372,7 +352,9 @@ def write_report(report: RunReport, out_dir) -> dict:
     # A lone surrogate, which no encoding can write, goes out as its \uXXXX
     # escape: in report.json that is the JSON escape of the same character.
     with open(paths["json"], "w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.write(_report_json(report) + "\n")
+        fh.write(json.dumps({"aggregates": report.aggregates,
+                             "rows": [vars(r) for r in report.rows]},
+                            indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

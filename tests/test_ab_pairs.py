@@ -47,6 +47,48 @@ def test_ties_are_not_wins_and_lower_is_better_flips_the_sign():
     assert ab_pairs.compare(PARENT, faster, "lower")["relative"] == pytest.approx(-8 / 100.5)
 
 
+def test_a_failed_change_run_loses_its_pair_and_the_claim():
+    change = [p + 8 for p in PARENT]
+    change[3] = None  # crashed, or exited non-zero on a failed check
+    result = ab_pairs.compare(PARENT, change, "higher")
+    assert (result["wins"], result["pairs"], result["failed"]) == (9, 10, (0, 1))
+    assert not result["claim_holds"]  # 9 of 10 won, but more change runs failed
+
+
+def test_win_share_counts_every_pair_run():
+    parent, change = list(PARENT), [p + 8 for p in PARENT]
+    parent[0] = None
+    change[1] = None
+    result = ab_pairs.compare(parent, change, "higher")
+    # 8 of 8 complete pairs won, but only 8 of the 10 pairs run
+    assert (result["wins"], result["pairs"], result["failed"]) == (8, 10, (1, 1))
+    assert not result["claim_holds"]
+
+
+def test_a_failed_parent_run_alone_does_not_block_the_claim():
+    parent, change = list(PARENT), [p + 8 for p in PARENT]
+    parent[3] = None
+    result = ab_pairs.compare(parent, change, "higher")
+    assert (result["wins"], result["failed"]) == (9, (1, 0))
+    assert result["claim_holds"]
+
+
+_RESULT = '{"metrics": {"samples_per_s": {"value": 5.0}}}'
+
+
+@pytest.mark.parametrize("script, expected", [
+    (f"print({_RESULT!r})\n", {"samples_per_s": 5.0}),
+    # a failed check: the result is printed, then the run exits 1
+    (f"print('CHECK FAILED: report.json differs')\nprint({_RESULT!r})\nraise SystemExit(1)\n",
+     None),
+    ("raise SystemExit('crashed')\n", None),
+], ids=["result", "failed check", "no result"])
+def test_run_once_reads_a_non_zero_exit_or_no_result_as_failed(tmp_path, script, expected):
+    (tmp_path / "evalbench").mkdir()
+    (tmp_path / "evalbench" / "run.py").write_text(script)
+    assert ab_pairs.run_once(str(tmp_path), "replay_warm", 1, 0.1) == expected
+
+
 def test_parse_seeds():
     assert ab_pairs.parse_seeds("3001-3003,3010") == [3001, 3002, 3003, 3010]
 
