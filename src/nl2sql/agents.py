@@ -9,6 +9,8 @@ per stage invocation).
 import json
 import re
 import sqlite3
+import threading
+import weakref
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -164,6 +166,19 @@ def extract_structured_payload(text: str) -> str:
     raise ExtractionError("no balanced JSON payload found")
 
 
+class _ExplainDatabase:
+    """An empty in-memory database to EXPLAIN plan steps against. Each
+    thread has its own (``_explain``); it is closed when its thread ends."""
+
+    def __init__(self):
+        # closed by the finalizer, which may run on another thread
+        self.connection = sqlite3.connect(":memory:", check_same_thread=False)
+        weakref.finalize(self, self.connection.close)
+
+
+_explain = threading.local()
+
+
 def looks_like_sql_statement(step: str) -> bool:
     """Permissive check whether a plan step is itself a complete SQL
     statement: it must start with a statement keyword and parse against an
@@ -171,16 +186,17 @@ def looks_like_sql_statement(step: str) -> bool:
     stripped = re.sub(r"^\s*(?:\d+[.)]\s*|[-*]\s*)", "", step).strip().rstrip(";")
     if not re.match(r"(SELECT|WITH|VALUES|INSERT|UPDATE|DELETE)\b", stripped, re.I):
         return False
-    conn = sqlite3.connect(":memory:")
     try:
-        conn.execute("EXPLAIN " + stripped)
+        database = _explain.database
+    except AttributeError:
+        database = _explain.database = _ExplainDatabase()
+    try:
+        database.connection.execute("EXPLAIN " + stripped).close()
         return True
     except sqlite3.OperationalError as exc:
         return bool(re.search(r"no such (table|column|function)", str(exc)))
     except sqlite3.Error:
         return False
-    finally:
-        conn.close()
 
 
 def _complete(gateway, role, messages):

@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
@@ -232,6 +233,36 @@ def _read_checkpoint(path) -> dict:
             for row in jsonl.read_records(path, _checkpoint_row, "checkpoint")}
 
 
+class _SplitRuns:
+    """Hands out groups to ``workers`` workers: the groups, in database
+    order, are split into one contiguous run per worker. Worker i takes its
+    groups from the front of run i; when that run is empty it takes them
+    from the far end of the longest run left, and keeps to that run until it
+    is empty too. So each worker walks through one database at a time."""
+
+    def __init__(self, groups, workers):
+        n = len(groups)
+        self._runs = [collections.deque(groups[i * n // workers:(i + 1) * n // workers])
+                      for i in range(workers)]
+        self._from_end = [None] * workers  # the run a worker takes from the far end of
+        self._lock = threading.Lock()
+
+    def take(self, worker):
+        """The next group for ``worker``; None when none is left."""
+        with self._lock:
+            if self._runs[worker]:
+                return self._runs[worker].popleft()
+            run = self._from_end[worker]
+            if run is None or not run:
+                run = self._from_end[worker] = max(self._runs, key=len)
+            return run.pop() if run else None
+
+    def clear(self):
+        with self._lock:
+            for run in self._runs:
+                run.clear()
+
+
 def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
              checkpoint_path=None, trace_path=None, prices=None) -> RunReport:
     """Run the pipeline over a sample batch and report metrics.
@@ -241,8 +272,13 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     back, in batch order, on one of the ``parallelism`` workers, and keeps
     one outcome memo (see run_pipeline) from its start to its end: the gold
     query and each distinct candidate that succeeds are executed once per
-    group. Groups start in database order (the order of each database's
-    first sample), then in order of their first sample.
+    group. Groups are put in database order (the order of each database's
+    first sample), then in order of their first sample, and that order is
+    split into one contiguous run per worker. Worker i starts at the front
+    of run i; when its run is empty, it takes groups from the far end of the
+    longest run left until that one is empty too. With two workers these
+    are the two ends of one list, so a slow group late in the order does
+    not run alone at the end of the batch.
 
     A worker runs its queries on one read-only connection while its next
     group is on the same database, and closes it when it moves to another
@@ -255,8 +291,8 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     interrupted batch picks up where it stopped. When a group ends, its
     trace lines and then its checkpoint rows are written, one write each;
     a group cut off before then runs again in full when the batch resumes.
-    The checkpoint and trace files are held open for the run and closed
-    before this returns.
+    The checkpoint and trace files are opened, and created if missing, when
+    the run starts, and closed before this returns.
     """
     prices = prices or {}
     done = _read_checkpoint(checkpoint_path)
@@ -265,8 +301,9 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
         if sample.index not in done:
             by_db.setdefault(sample.db_id, {}).setdefault(
                 gold_sql(sample.gold_query).text, []).append(sample)
-    pending = collections.deque(group for groups in by_db.values()
-                                for group in groups.values())
+    pending = [group for groups in by_db.values() for group in groups.values()]
+    workers = max(1, min(parallelism, len(pending)))
+    schedule = _SplitRuns(pending, workers)
 
     checkpoint = jsonl.AppendLog(checkpoint_path) if checkpoint_path else None
     traces = jsonl.AppendLog(trace_path) if trace_path else None
@@ -283,15 +320,14 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
             checkpoint.extend(vars(row) for row in rows)
         return rows
 
-    def work():
-        """Runs groups until none is pending; returns their rows."""
+    def work(worker):
+        """Runs ``worker``'s groups until none is left; returns their rows."""
         rows = []
         db_id = connection = None
         try:
             while True:
-                try:
-                    group = pending.popleft()
-                except IndexError:
+                group = schedule.take(worker)
+                if group is None:
                     return rows
                 if group[0].db_id != db_id:
                     if connection is not None:
@@ -310,22 +346,24 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
                              prices, outcomes, gold_norm)
                     for sample in group])
         except BaseException:
-            pending.clear()  # the other workers stop after their current group
+            schedule.clear()  # the other workers stop after their current group
             raise
         finally:
             if connection is not None:
                 connection.close()
 
     rows = list(done.values())
-    workers = max(1, min(parallelism, len(pending)))
     try:
+        for log in (checkpoint, traces):
+            if log is not None:
+                log.open()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(work) for _ in range(workers)]
+            futures = [pool.submit(work, i) for i in range(workers)]
             try:
                 for future in futures:
                     rows += future.result()
             except BaseException:
-                pending.clear()
+                schedule.clear()
                 raise
     finally:
         for log in (checkpoint, traces):

@@ -3,8 +3,11 @@ decide execution-accuracy equivalence between result sets."""
 
 import hashlib
 import itertools
+import math
+import os
 import re
 import sqlite3
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -168,21 +171,87 @@ def connect_readonly(db_file) -> sqlite3.Connection:
     return conn
 
 
+class _Deadlines:
+    """Interrupts each armed connection at its deadline, from one daemon
+    thread that starts at the first ``arm``.
+
+    Between deadlines the thread sleeps: ``arm`` wakes it only when it is
+    idle or the new deadline comes before its next wake, and ``disarm``
+    never does. The thread interrupts under the lock ``disarm`` takes, so
+    an interrupt lands only while its query is armed, never on the
+    connection's next query.
+    """
+
+    def __init__(self):
+        self._reset()
+        os.register_at_fork(after_in_child=self._reset)
+
+    def _reset(self):
+        # A forked child has none of the parent's threads, and its copy of
+        # the lock may be held.
+        self._cond = threading.Condition(threading.Lock())
+        self._armed = {}  # token -> (deadline, connection)
+        self._tokens = itertools.count()
+        self._wake = math.inf  # the thread's next wake; inf while idle
+        self._thread = None
+
+    def arm(self, connection, deadline) -> int:
+        """Interrupt ``connection`` at ``deadline`` (``time.monotonic``)
+        unless disarmed first; returns the token for ``disarm``."""
+        with self._cond:
+            token = next(self._tokens)
+            self._armed[token] = (deadline, connection)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="nl2sql-deadlines", daemon=True)
+                self._thread.start()
+            if deadline < self._wake:
+                self._wake = deadline
+                self._cond.notify()
+            return token
+
+    def disarm(self, token) -> None:
+        with self._cond:
+            self._armed.pop(token, None)
+
+    def _run(self):
+        with self._cond:
+            while True:
+                now = time.monotonic()
+                wake = math.inf
+                for token, (deadline, connection) in list(self._armed.items()):
+                    if deadline <= now:
+                        del self._armed[token]
+                        try:
+                            connection.interrupt()
+                        except sqlite3.ProgrammingError:  # closed while armed
+                            pass
+                    else:
+                        wake = min(wake, deadline)
+                self._wake = wake
+                self._cond.wait(None if wake == math.inf
+                                else min(wake - now, threading.TIMEOUT_MAX))
+
+
+_DEADLINES = _Deadlines()
+
+
 def execute(connection, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutcome:
     """Run a sanitized query on ``connection`` and materialize canonical rows.
 
     ``connection`` comes from ``connect_readonly`` and is owned by the
-    caller, who closes it. The timeout counts from this call, and the
-    connection's progress handler is cleared when the query ends.
+    caller, who closes it. The timeout is wall time from this call: a
+    shared deadline thread interrupts the query when it runs out, and the
+    outcome is then status ``timeout``. SQLite runs the query without
+    calling back into Python.
 
     Engine errors, and query text SQLite cannot take (a lone surrogate),
     are classified into the outcome, never raised past this boundary.
     """
     if not _STATEMENT_START.match(query.text):
         return ExecutionOutcome.failure("other", "only SELECT/WITH/VALUES statements are executed")
-    deadline = time.monotonic() + timeout
-    connection.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
     cursor = connection.cursor()
+    token = _DEADLINES.arm(connection, time.monotonic() + timeout)
     try:
         cursor.execute(query.text)
         raw_rows = cursor.fetchall()
@@ -200,7 +269,7 @@ def execute(connection, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutc
         return ExecutionOutcome.failure("other", f"query text cannot be encoded as UTF-8: {exc}")
     finally:
         cursor.close()
-        connection.set_progress_handler(None, 0)
+        _DEADLINES.disarm(token)
 
 
 def has_top_level_order_by(query: SqlQuery) -> bool:

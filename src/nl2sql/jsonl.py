@@ -73,9 +73,10 @@ def _open_for_append(path) -> int:
 class AppendLog:
     """Appends records to one JSON-lines file through a kept descriptor.
 
-    The descriptor opens at the first ``append`` and stays open until
-    ``close`` (or the end of a ``with`` block); an append after ``close``
-    opens it again. A log that is collected unclosed closes its descriptor.
+    The descriptor opens at ``open`` or the first ``append`` and stays open
+    until ``close`` (or the end of a ``with`` block); an append after
+    ``close`` opens it again. A log that is collected unclosed closes its
+    descriptor.
     """
 
     def __init__(self, path):
@@ -83,6 +84,16 @@ class AppendLog:
         self._lock = threading.Lock()
         self._fd = None
         self._close_fd = None  # weakref.finalize closing _fd
+
+    def open(self) -> None:
+        """Opens the descriptor now, creating the file if it is missing."""
+        with self._lock:
+            self._open()
+
+    def _open(self):
+        if self._fd is None:
+            self._fd = _open_for_append(self.path)
+            self._close_fd = weakref.finalize(self, os.close, self._fd)
 
     def append(self, record) -> None:
         self.extend((record,))
@@ -95,9 +106,7 @@ class AppendLog:
         if not data:
             return
         with self._lock:
-            if self._fd is None:
-                self._fd = _open_for_append(self.path)
-                self._close_fd = weakref.finalize(self, os.close, self._fd)
+            self._open()
             while data:
                 data = data[os.write(self._fd, data):]
 

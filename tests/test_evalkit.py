@@ -1,7 +1,9 @@
 import errno
 import hashlib
+import itertools
 import json
 import os
+import random
 import sys
 import threading
 from collections import Counter
@@ -832,6 +834,88 @@ def test_worker_holds_one_connection_per_run_of_groups_on_a_database(
     assert connections["opened"] <= 2 * parallelism
     assert connections["peak"] <= parallelism
     assert connections["open"] == 0
+
+
+def _drive(schedule, workers, pick):
+    """Positions each worker takes from ``schedule`` until none is left:
+    each takes one as it starts, then ``pick`` chooses which of the workers
+    still taking goes next."""
+    taken = [[schedule.take(worker)] for worker in range(workers)]
+    live = list(range(workers))
+    while live:
+        worker = pick(live)
+        group = schedule.take(worker)
+        if group is None:
+            live.remove(worker)
+        else:
+            taken[worker].append(group)
+    return taken
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_split_runs_schedule(workers):
+    order = list(range(10))  # groups as their positions in database order
+    runs = [order[i * 10 // workers:(i + 1) * 10 // workers] for i in range(workers)]
+    run_of = {group: i for i, run in enumerate(runs) for group in run}
+    picks = [lambda live: live[0], lambda live: live[-1]]
+    picks += [random.Random(seed).choice for seed in range(20)]
+    for pick in picks:
+        taken = _drive(evalkit._SplitRuns(order, workers), workers, pick)
+        assert sorted(sum(taken, [])) == order
+        for i, groups in enumerate(taken):
+            own = [g for g in groups if run_of[g] == i]
+            # run i's front, walked forward, then runs taken from the far
+            # end, one at a time: each a walk through a slice of the
+            # database order
+            assert own[0] == runs[i][0] and groups[:len(own)] == own
+            assert own == list(range(own[0], own[0] + len(own)))
+            stolen = [list(s) for _, s in itertools.groupby(groups[len(own):], run_of.get)]
+            assert len({run_of[s[0]] for s in stolen}) == len(stolen)
+            assert all(s == sorted(s, reverse=True) for s in stolen)
+        if workers == 2:  # the two ends of one list
+            ends = runs[0] + runs[1][::-1]
+            assert taken[0] == ends[:len(taken[0])]
+            assert taken[1] == ends[::-1][:len(taken[1])]
+
+
+# first sample of each group of ``two_databases``, in database order
+TWO_DATABASE_GROUPS = [0, 4, 10, 12, 1, 3, 5, 7]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 4])
+def test_split_run_schedule_in_evaluate(two_databases, sessions, connections,
+                                        monkeypatch, tmp_path, parallelism):
+    samples, schemas, db_paths = two_databases
+    barrier = threading.Barrier(parallelism, timeout=30)
+    started = set()
+    run_one = evalkit._run_one
+
+    def first_groups_taken_together(sample, *args):
+        # every worker has taken its first group before any finishes one,
+        # so none can have taken another worker's first group
+        if threading.get_ident() not in started:
+            started.add(threading.get_ident())
+            barrier.wait()
+        return run_one(sample, *args)
+
+    monkeypatch.setattr(evalkit, "_run_one", first_groups_taken_together)
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
+    write_report(report, tmp_path)
+    raw = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == TWO_DATABASE_REPORT_SHA256
+
+    _, ran = sessions
+    assert sorted(s.index for order in ran.values() for s, _ in order) \
+        == list(range(len(samples)))
+    n = len(TWO_DATABASE_GROUPS)
+    assert {order[0][0].index for order in ran.values()} \
+        == {TWO_DATABASE_GROUPS[i * n // parallelism] for i in range(parallelism)}
+    for order in ran.values():
+        runs = sum(i == 0 or sample.db_id != order[i - 1][0].db_id
+                   for i, (sample, _) in enumerate(order))
+        assert len({id(connection) for _, connection in order}) == runs
+    assert connections["peak"] <= parallelism
 
 
 def test_group_connection_closed_when_a_sample_crashes(paired, connections, caplog):

@@ -1,5 +1,7 @@
+import contextlib
 import re
 import sqlite3
+import threading
 import time
 from collections import Counter
 
@@ -219,6 +221,95 @@ def test_held_connection_progress_handler_cleared_after_query(guarded_db):
         assert conn.execute(COUNT_TO_100K.text).fetchall() == [(100000,)]
     finally:
         conn.close()
+
+
+# --- the deadline thread ----------------------------------------------------------
+
+FOREVER = SqlQuery(
+    "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c) "
+    "SELECT count(*) FROM c"
+)
+
+
+@pytest.fixture()
+def cross_join_db(tmp_path):
+    """A database whose three-way cross join runs for many seconds."""
+    path = tmp_path / "big.sqlite"
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE t (x INTEGER)")
+        conn.executemany("INSERT INTO t VALUES (?)", ((i,) for i in range(1000)))
+        conn.commit()
+    return path
+
+
+def test_cross_join_stops_at_its_timeout_without_polling_the_clock(cross_join_db,
+                                                                  monkeypatch):
+    me, reads = threading.get_ident(), Counter()
+    monotonic = time.monotonic
+
+    def counting_monotonic():
+        reads[threading.get_ident() == me] += 1
+        return monotonic()
+
+    monkeypatch.setattr(time, "monotonic", counting_monotonic)
+    with contextlib.closing(connect_readonly(cross_join_db)) as conn:
+        outcome = execute(conn, SqlQuery("SELECT count(*) FROM t a, t b, t c"),
+                          timeout=0.2)
+    assert outcome.status == "timeout"
+    # one read for the deadline; a progress handler read it every few ms
+    assert reads[True] <= 2
+
+
+def test_query_after_one_that_ends_at_its_deadline_is_not_interrupted(guarded_db):
+    count_to_10k = SqlQuery(
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x+1 FROM c WHERE x < 10000) "
+        "SELECT count(*) FROM c"
+    )
+    with contextlib.closing(connect_readonly(guarded_db)) as conn:
+        statuses = Counter()
+        for timeout in (0.0, 1e-5, 1e-4, 1e-3) * 25:
+            # the deadline passes while this query runs or just after it ends
+            statuses[execute(conn, SqlQuery("SELECT COUNT(*) FROM singer"),
+                             timeout=timeout).status] += 1
+            outcome = execute(conn, count_to_10k, timeout=30)
+            assert outcome.status == "success" and outcome.rows == [(10000,)]
+    assert set(statuses) <= {"success", "timeout"}
+
+
+def test_threads_with_different_timeouts_each_get_their_own(guarded_db):
+    timeouts = (0.05, 0.1, 0.15)
+    results = {}
+
+    def run_forever(timeout):
+        with contextlib.closing(connect_readonly(guarded_db)) as conn:
+            start = time.monotonic()
+            status = execute(conn, FOREVER, timeout=timeout).status
+            results[timeout] = status, time.monotonic() - start
+
+    threads = [threading.Thread(target=run_forever, args=(t,)) for t in timeouts]
+    for thread in threads:
+        thread.start()
+    finite = []
+    with contextlib.closing(connect_readonly(guarded_db)) as conn:
+        # runs while the other deadlines fire, and must never be cut short
+        while not finite or any(thread.is_alive() for thread in threads):
+            finite.append(execute(conn, COUNT_TO_100K, timeout=30))
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert all(o.status == "success" and o.rows == [(100000,)] for o in finite)
+    for timeout in timeouts:
+        status, elapsed = results[timeout]
+        # the interrupt never comes before the query's own deadline
+        assert status == "timeout" and elapsed >= timeout
+
+
+def test_executes_share_one_deadline_thread(guarded_db):
+    before = threading.active_count()
+    with contextlib.closing(connect_readonly(guarded_db)) as conn:
+        for _ in range(1000):
+            assert execute(conn, SqlQuery("SELECT 1")).status == "success"
+    assert threading.active_count() <= before + 1
 
 
 def test_canonical_values():
