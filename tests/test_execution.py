@@ -202,8 +202,7 @@ def test_held_connection_after_timeout_runs_next_query_with_fresh_deadline(guard
     try:
         assert execute(conn, slow, timeout=0.05).status == "timeout"
         time.sleep(0.06)  # the first deadline has passed
-        # long enough to reach the progress handler, so a stale deadline
-        # would interrupt it
+        # runs long enough that a stale deadline would interrupt it
         outcome = execute(conn, COUNT_TO_100K, timeout=30)
         assert outcome.status == "success" and outcome.rows == [(100000,)]
         again = execute(conn, SqlQuery("SELECT COUNT(*) FROM singer"))
