@@ -12,14 +12,13 @@ import json
 import logging
 import math
 import os
-import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
 from . import jsonl
-from .execution import _outside_literals, connect_readonly
+from .execution import canonical_sql, connect_readonly
 from .pipeline import append_trace, gold_sql, run_pipeline
 
 logger = logging.getLogger(__name__)
@@ -149,20 +148,10 @@ def compute_metrics(rows) -> dict:
     }
 
 
-def _normalize_sql(text: str) -> str:
-    """Whitespace collapsed and lowercased outside string literals, so
-    'Leeds' and 'leeds' stay apart."""
-    text = re.sub(r"\s+", " ", text.strip().rstrip(";"))
-    parts = []
-    end = 0
-    for start, run in _outside_literals(text):
-        # str.lower on a whole run would lower a final capital sigma
-        # differently from the same letter alone
-        lowered = run.lower() if run.isascii() else "".join(map(str.lower, run))
-        parts += (text[end:start], lowered)
-        end = start + len(run)
-    parts.append(text[end:])
-    return "".join(parts)
+def _gold_key(gold_query: str) -> str:
+    """The key that groups samples by gold query: ``canonical_sql`` of the
+    gold as run_pipeline executes it."""
+    return canonical_sql(gold_sql(gold_query).text)
 
 
 def _row_cost(trace, prices: dict) -> float:
@@ -186,10 +175,10 @@ def _crash_row(sample) -> SampleRow:
 
 
 def _run_one(sample, schema, connection, config, gateway, prices, outcomes,
-             gold_norm) -> tuple:
+             gold_key) -> tuple:
     """(SampleRow, PipelineResult) for one sample; the result is None when
-    the sample crashed. ``gold_norm`` is ``_normalize_sql`` of the sample's
-    gold query."""
+    the sample crashed. ``gold_key`` is ``_gold_key`` of the sample's gold
+    query."""
     try:
         result = run_pipeline(
             sample.question, schema, connection, config, gateway,
@@ -209,7 +198,7 @@ def _run_one(sample, schema, connection, config, gateway, prices, outcomes,
         tokens=result.trace.total_tokens,
         cost=round(_row_cost(result.trace, prices), 8),
         stage_error=result.trace.status == "stage_error",
-        exact_match=bool(final_sql) and _normalize_sql(final_sql) == gold_norm,
+        exact_match=bool(final_sql) and canonical_sql(final_sql) == gold_key,
     )
     return row, result
 
@@ -267,18 +256,21 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
              checkpoint_path=None, trace_path=None, prices=None) -> RunReport:
     """Run the pipeline over a sample batch and report metrics.
 
-    Samples that share a database and gold query exactly as run_pipeline
-    executes it (paraphrased questions) form a group, which runs back to
-    back, in batch order, on one of the ``parallelism`` workers, and keeps
-    one outcome memo (see run_pipeline) from its start to its end: the gold
-    query and each distinct candidate that succeeds are executed once per
-    group. Groups are put in database order (the order of each database's
-    first sample), then in order of their first sample, and that order is
-    split into one contiguous run per worker. Worker i starts at the front
-    of run i; when its run is empty, it takes groups from the far end of the
-    longest run left until that one is empty too. With two workers these
-    are the two ends of one list, so a slow group late in the order does
-    not run alone at the end of the batch.
+    Samples that share a database and a gold query (paraphrased questions)
+    form a group; two gold queries are the same when they have one
+    ``canonical_sql`` form as run_pipeline executes them. A group runs back
+    to back, in batch order, on one of the ``parallelism`` workers, and
+    keeps one outcome memo (see run_pipeline) from its start to its end: the
+    gold query and each distinct candidate that succeeds are executed once
+    per group, where texts with one ``canonical_sql`` form are one query.
+    The diagnostic ``exact_match`` compares the same forms. Groups are put
+    in database order (the order of each database's first sample), then in
+    order of their first sample, and that order is split into one
+    contiguous run per worker. Worker i starts at the front of run i; when
+    its run is empty, it takes groups from the far end of the longest run
+    left until that one is empty too. With two workers these are the two
+    ends of one list, so a slow group late in the order does not run alone
+    at the end of the batch.
 
     A worker runs its queries on one read-only connection while its next
     group is on the same database, and closes it when it moves to another
@@ -300,8 +292,8 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     for sample in samples:
         if sample.index not in done:
             by_db.setdefault(sample.db_id, {}).setdefault(
-                gold_sql(sample.gold_query).text, []).append(sample)
-    pending = [group for groups in by_db.values() for group in groups.values()]
+                _gold_key(sample.gold_query), []).append(sample)
+    pending = [(key, group) for groups in by_db.values() for key, group in groups.items()]
     workers = max(1, min(parallelism, len(pending)))
     schedule = _SplitRuns(pending, workers)
 
@@ -326,9 +318,10 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
         db_id = connection = None
         try:
             while True:
-                group = schedule.take(worker)
-                if group is None:
+                taken = schedule.take(worker)
+                if taken is None:
                     return rows
+                gold_key, group = taken
                 if group[0].db_id != db_id:
                     if connection is not None:
                         connection.close()
@@ -340,10 +333,9 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
                         continue
                     db_id = group[0].db_id
                 outcomes = {}
-                gold_norm = _normalize_sql(group[0].gold_query)
                 rows += log_group([
                     _run_one(sample, schemas[db_id], connection, config, gateway,
-                             prices, outcomes, gold_norm)
+                             prices, outcomes, gold_key)
                     for sample in group])
         except BaseException:
             schedule.clear()  # the other workers stop after their current group

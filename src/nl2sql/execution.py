@@ -7,6 +7,7 @@ import math
 import os
 import re
 import sqlite3
+import string
 import threading
 import time
 from collections import Counter
@@ -44,7 +45,7 @@ class ExecutionOutcome:
 
 
 _STATEMENT_START = re.compile(r"\b(SELECT|WITH|VALUES)\b", re.IGNORECASE)
-_ORDER_BY_OR_PAREN = re.compile(r"[()]|ORDER\s+BY\b")
+_ORDER_BY_OR_PAREN = re.compile(r"[()]|order[ \t\n\f\r]+by\b", re.IGNORECASE)
 _FENCE = re.compile(r"```[ \t]*(?:sql|sqlite|SQL)?\s*\n?(.*?)```", re.DOTALL)
 
 # deliberately excludes words common in English prose (is, in, on, and, or)
@@ -62,28 +63,87 @@ def _line_is_prose(line: str) -> bool:
     return not any(w.lower() in _SQL_TOKENS for w in words)
 
 
-# A literal ('...' or "...", unterminated to the end of the text) or a
-# maximal run of text outside one.
-_LITERAL_OR_RUN = re.compile(r"'[^']*'?|\"[^\"]*\"?|[^'\"]+")
+# One token of SQLite's tokenizer, as far as a scan of the text needs it: a
+# quoted token ('...', "...", `...` or [...]; SQLite's doubled quote reads
+# as two adjacent tokens), a comment (-- to the end of the line, or /* to
+# */), or other text, a maximal run without those openers or a lone "/" or
+# "-". A quoted token or comment left open runs to the end of the text, as
+# in SQLite.
+_TOKEN = re.compile(r"""
+    (?P<quoted> '[^']*'? | "[^"]*"? | `[^`]*`? | \[[^\]]*\]? )
+  | (?P<comment> --[^\n]* | /\*.*?(?:\*/|\Z) )
+  | [^'"`\[/-]+ | [/-]
+""", re.VERBOSE | re.DOTALL)
+# SQLite's whitespace; a vertical tab, say, is not.
+_SQL_SPACE = re.compile(r"[ \t\n\f\r]+")
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 
-def _outside_literals(text: str):
-    """Yield (start, run) for each maximal run of ``text`` outside a '...'
-    or "..." literal; the literals and their quote characters are left out."""
-    for match in _LITERAL_OR_RUN.finditer(text):
-        run = match.group()
-        if run[0] not in "'\"":
-            yield match.start(), run
+def _code_runs(text: str):
+    """Yield (start, run) for each run of ``text`` outside quoted tokens
+    and comments; the quote characters and comment markers are left out."""
+    for match in _TOKEN.finditer(text):
+        if match.lastgroup is None:
+            yield match.start(), match.group()
+
+
+def _fold(code: str) -> str:
+    """Code outside quoted tokens with its whitespace runs made one space
+    and its ASCII letters lowered; other letters stay, as SQLite folds only
+    ASCII case."""
+    code = code.lower() if code.isascii() else code.translate(_ASCII_LOWER)
+    if not code.isprintable():  # a tab or line break, say
+        code = _SQL_SPACE.sub(" ", code)
+    while "  " in code:
+        code = code.replace("  ", " ")
+    return code
+
+
+def canonical_sql(text: str) -> str:
+    """``text`` in a form that two SQL texts share when SQLite reads them
+    as the same token sequence: comments become whitespace, each whitespace
+    run one space (none at either end), and ASCII letters outside quoted
+    tokens are lowered. Quoted tokens are kept as written, so 'Leeds' and
+    'leeds' stay apart. Text that SQLite cannot take, as it holds a lone
+    surrogate, is its own form."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return text
+    parts = []
+    code = []  # the text since the last quoted token, comments as spaces
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "quoted":
+            parts += (_fold("".join(code)), match.group())
+            code = []
+        else:
+            code.append(" " if kind else match.group())
+    parts.append(_fold("".join(code)))
+    parts[0] = parts[0].lstrip(" ")
+    parts[-1] = parts[-1].rstrip(" ")
+    return "".join(parts)
 
 
 def _cut_at_statement_end(text: str) -> tuple:
     """Return (statement, had_semicolon) up to the first semicolon that is
-    outside any string literal."""
-    for start, run in _outside_literals(text):
+    outside any quoted token or comment."""
+    for start, run in _code_runs(text):
         i = run.find(";")
         if i >= 0:
             return text[:start + i], True
     return text, False
+
+
+def _statement_start(sql: str):
+    """Where the first SELECT, WITH or VALUES outside quoted tokens and
+    comments of ``sql`` starts; None when there is none."""
+    for start, run in _code_runs(sql):
+        match = _STATEMENT_START.search(run)
+        if match:
+            return start + match.start()
+    return None
 
 
 def sanitize(raw: str) -> SqlQuery:
@@ -93,16 +153,19 @@ def sanitize(raw: str) -> SqlQuery:
         raise SanitizeError("empty response")
     text = raw
 
-    fenced = _FENCE.findall(text)
-    for block in fenced:
-        if _STATEMENT_START.search(block):
+    start = None
+    for block in _FENCE.findall(text):
+        start = _statement_start(block)
+        if start is not None:
             text = block
             break
-
-    match = _STATEMENT_START.search(text)
-    if not match:
-        raise SanitizeError(f"no SQL statement found in: {raw.strip()[:120]!r}")
-    text = text[match.start():]
+    if start is None:
+        # Unfenced, SQL comes with prose, whose apostrophes are not quotes.
+        match = _STATEMENT_START.search(text)
+        if not match:
+            raise SanitizeError(f"no SQL statement found in: {raw.strip()[:120]!r}")
+        start = match.start()
+    text = text[start:]
 
     statement, had_semicolon = _cut_at_statement_end(text)
     if not had_semicolon:
@@ -248,7 +311,10 @@ def execute(connection, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutc
     Engine errors, and query text SQLite cannot take (a lone surrogate),
     are classified into the outcome, never raised past this boundary.
     """
-    if not _STATEMENT_START.match(query.text):
+    # past leading whitespace and comments too, as SQLite reads them, so that
+    # texts with one canonical_sql form are all run or all refused
+    if not (_STATEMENT_START.match(query.text)
+            or _STATEMENT_START.match(canonical_sql(query.text))):
         return ExecutionOutcome.failure("other", "only SELECT/WITH/VALUES statements are executed")
     cursor = connection.cursor()
     token = _DEADLINES.arm(connection, time.monotonic() + timeout)
@@ -274,17 +340,16 @@ def execute(connection, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutc
 
 def has_top_level_order_by(query: SqlQuery) -> bool:
     """True iff ORDER BY appears at the outermost statement level, outside
-    subqueries, parenthesized set-operands, and string literals."""
+    subqueries, parenthesized set-operands, quoted tokens and comments."""
     depth = 0
-    for _, run in _outside_literals(query.text):
-        upper = run.upper()
-        for match in _ORDER_BY_OR_PAREN.finditer(upper):
+    for _, run in _code_runs(canonical_sql(query.text)):
+        for match in _ORDER_BY_OR_PAREN.finditer(run):
             token, i = match.group(), match.start()
             if token == "(":
                 depth += 1
             elif token == ")":
                 depth = max(0, depth - 1)
-            elif depth == 0 and (i == 0 or not upper[i - 1].isalnum()):
+            elif depth == 0 and (i == 0 or not run[i - 1].isalnum()):
                 return True
     return False
 

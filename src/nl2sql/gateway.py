@@ -7,6 +7,7 @@ to a (backend, model) pair so reasoning-heavy and cheap roles can use
 different models.
 """
 
+import functools
 import hashlib
 import json
 import logging
@@ -103,21 +104,33 @@ class ModelRoute:
         return self.routes[role]
 
 
+@functools.lru_cache(maxsize=64)
+def _key_head(model_id, temperature, role, content):
+    """The SHA-256 state of cache_key's payload up to the end of its first
+    message. The model, the temperature and a stage's system prompt repeat
+    from call to call, so each such head is hashed once."""
+    head = json.dumps([model_id, temperature, [[role, content]]],
+                      ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(head[:-2].encode("utf-8", "surrogatepass"))
+
+
 def cache_key(request: ChatRequest) -> str:
-    """Deterministic digest over model, messages, and temperature.
+    """Deterministic digest over model, messages, and temperature: the
+    SHA-256 of the compact JSON array [model, temperature, [[role, content],
+    ...]].
 
     Insensitive to max_output_tokens so tuning the cap does not invalidate
     a replay cache. Text is hashed as UTF-8 with lone surrogates passed
     through, so any ``str`` has a key and valid text keeps the plain UTF-8
     one.
     """
-    payload = json.dumps(
-        [request.model_id, round(request.temperature, 6),
-         [[r, c] for r, c in request.messages]],
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
+    (role, content), *rest = request.messages
+    digest = _key_head(request.model_id, round(request.temperature, 6),
+                       role, content).copy()
+    tail = json.dumps([[r, c] for r, c in rest], ensure_ascii=False,
+                      separators=(",", ":"))[1:]  # "]" when there is no rest
+    digest.update((("," if rest else "") + tail + "]").encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
 
 
 class ScriptedBackend:

@@ -13,6 +13,7 @@ from .schema import render_schema_text
 from .execution import (
     SanitizeError,
     SqlQuery,
+    canonical_sql,
     compare_results,
     execute,
     has_top_level_order_by,
@@ -105,13 +106,14 @@ class PipelineResult:
 
 
 def repeat_guard(previous_sqls, candidate_sql: str) -> bool:
-    """True when the candidate is whitespace-normalized identical to any
-    prior attempt. The flag only marks the attempt: a flagged candidate is
-    executed or served by run_pipeline's outcome memo like any other, so a
-    repeat of a failed or timed-out query runs again and can succeed if
-    that failure was transient."""
-    norm = " ".join(candidate_sql.split())
-    return any(" ".join(p.split()) == norm for p in previous_sqls)
+    """True when the candidate has the ``canonical_sql`` form of a prior
+    attempt: the same query up to ASCII case outside quoted tokens,
+    whitespace and comments. The flag only marks the attempt: a flagged
+    candidate is executed or served by run_pipeline's outcome memo like any
+    other, so a repeat of a failed or timed-out query runs again and can
+    succeed if that failure was transient."""
+    key = canonical_sql(candidate_sql)
+    return any(canonical_sql(p) == key for p in previous_sqls)
 
 
 def gold_sql(gold_query: str) -> SqlQuery:
@@ -152,14 +154,17 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     Every query runs on ``connection``, from ``execution.connect_readonly``
     and owned by the caller, who closes it.
 
-    ``outcomes`` memoizes ExecutionOutcomes on that database by query text;
-    a caller may pass the same dict to later calls on the same database,
-    which the database must not change under. The gold query runs first
-    unless the memo holds it, and its outcome is kept whatever its status.
-    A candidate is served from the memo only when the memo holds a success
-    for its text; otherwise it is executed, and kept if it succeeds, so a
-    failed or timed-out query that comes back runs again. Without
-    ``outcomes`` the memo lasts for this call only.
+    ``outcomes`` memoizes ExecutionOutcomes on that database by the
+    ``canonical_sql`` form of the query text, which two texts share only
+    when SQLite compiles them to the same program, so a served outcome is
+    the one executing the text would return. A caller may pass the same
+    dict to later calls on the same database, which the database must not
+    change under. The gold query runs first unless the memo holds it, and
+    its outcome is kept whatever its status. A candidate is served from the
+    memo only when the memo holds a success for its form; otherwise it is
+    executed, and kept if it succeeds, so a failed or timed-out query that
+    comes back runs again. Without ``outcomes`` the memo lasts for this
+    call only.
     """
     if config.correction_trigger == "gold_mismatch" and not gold_query:
         raise ValueError("gold_mismatch trigger requires a gold query")
@@ -173,9 +178,10 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     gold_outcome = None
     if gold_query:
         gold = gold_sql(gold_query)
-        gold_outcome = outcomes.get(gold.text)
+        key = canonical_sql(gold.text)
+        gold_outcome = outcomes.get(key)
         if gold_outcome is None:
-            gold_outcome = outcomes[gold.text] = execute(
+            gold_outcome = outcomes[key] = execute(
                 connection, gold, timeout=config.timeout)
         order_sensitive = has_top_level_order_by(gold)
 
@@ -220,11 +226,12 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
             )
             return None, None, None
         repeated = repeat_guard([a.sql for a in trace.attempts], query.text)
-        outcome = outcomes.get(query.text)
+        key = canonical_sql(query.text)
+        outcome = outcomes.get(key)
         if outcome is None or outcome.status != "success":
             outcome = execute(connection, query, timeout=config.timeout)
             if outcome.status == "success":
-                outcomes[query.text] = outcome
+                outcomes[key] = outcome
         ea = verdict(outcome)
         trace.attempts.append(
             AttemptRecord(

@@ -1,14 +1,21 @@
 import contextlib
 import json
+import os
 import sqlite3
 import threading
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 
 from nl2sql.execution import connect_readonly, execute
 from nl2sql.gateway import Gateway, ModelRoute, ScriptedBackend
 from nl2sql.pipeline import run_pipeline
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and more of them
+# where a test does not set its own count.
+settings.register_profile("ci", derandomize=True, max_examples=300, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Music-domain fixture database: 8 tables, small deterministic contents.
 FIXTURE_DDL = """

@@ -35,6 +35,7 @@ from nl2sql.pipeline import (
     PipelineConfig,
     PipelineTrace,
     append_trace,
+    gold_sql,
     load_traces,
 )
 
@@ -469,6 +470,23 @@ def test_exact_match_keeps_literal_case(tmp_path, fixture_tables_file, db_root):
         assert report.rows[0].exact_match is exact
 
 
+def test_exact_match_reads_comments_and_keeps_literal_whitespace(
+        tmp_path, fixture_tables_file, db_root):
+    gold = "SELECT name FROM stadium WHERE name = 'North Arena'"
+    question = "Which stadium is North Arena?"
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"question": question, "query": gold, "db_id": "music"}]))
+    samples, schemas, db_paths = load_dataset(str(path), fixture_tables_file, db_root)
+    for predicted, exact in (
+            ("SELECT name FROM stadium WHERE name = 'North  Arena'", False),
+            ("select name from stadium -- it's\nwhere name = 'North Arena'", True),
+            ("SELECT name /* the 'name' */ FROM stadium WHERE name = 'North Arena'", True)):
+        gateway = question_keyed_gateway({question: predicted})
+        report = evaluate(samples, schemas, db_paths,
+                          PipelineConfig(skip_correction=True), gateway, parallelism=1)
+        assert report.rows[0].exact_match is exact
+
+
 def test_costs_use_price_table(dataset):
     samples, schemas, db_paths = dataset
     priced = evaluate(samples, schemas, db_paths, PipelineConfig(),
@@ -512,6 +530,9 @@ PAIRED_SQL = {q: gold.strip().rstrip(";").replace("SELECT", "select")
               for q, gold in PAIRED}
 PAIRED_SQL["Which stadiums are in leeds?"] = (
     "select name FROM stadium WHERE city = 'Leeds'")
+# The same candidates spelled with SELECT ALL, so each differs from its gold
+# in more than case and is not served from the gold query's run.
+PAIRED_SQL_ALL = {q: sql.replace("select", "select all", 1) for q, sql in PAIRED_SQL.items()}
 PAIRED_EA = [True, True, True, False, True, True, True]
 
 
@@ -600,26 +621,37 @@ def test_crash_in_first_sample_of_group_keeps_gold(paired, gold_runs, caplog):
 def test_each_distinct_query_executes_once_per_group(paired, executions, parallelism):
     samples, schemas, db_paths = paired
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
-                      question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
+                      question_keyed_gateway(PAIRED_SQL_ALL), parallelism=parallelism)
     assert [r.ea for r in report.rows] == PAIRED_EA
     assert executions == {
         **{gold: 1 for gold in PAIRED_GOLDS},
         # samples 0, 2 and 6 reply with the same candidate
-        "select COUNT(*) FROM singer": 1,
+        "select all COUNT(*) FROM singer": 1,
         # once in the 'Leeds' group (samples 1 and 4) and once in the
         # 'leeds' group, where it is wrong and the correction repeats it
-        "select name FROM stadium WHERE city = 'Leeds'": 2,
-        "select COUNT(*) FROM concert": 1,
+        "select all name FROM stadium WHERE city = 'Leeds'": 2,
+        "select all COUNT(*) FROM concert": 1,
     }
+
+
+def test_candidate_spelled_like_its_gold_is_served_from_the_gold_run(paired, executions):
+    samples, schemas, db_paths = paired
+    # each candidate differs from its group's gold only in letter case, but
+    # the 'leeds' group's also in a literal's case
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=1)
+    assert [r.ea for r in report.rows] == PAIRED_EA
+    assert executions == {**{gold: 1 for gold in PAIRED_GOLDS},
+                          "select name FROM stadium WHERE city = 'Leeds'": 1}
 
 
 def test_memo_does_not_outlive_its_group(paired, executions, connections):
     samples, schemas, db_paths = paired
     # two groups on one database whose samples reply with the same candidate
     report = evaluate([samples[1], samples[3]], schemas, db_paths, PipelineConfig(),
-                      question_keyed_gateway(PAIRED_SQL), parallelism=1)
+                      question_keyed_gateway(PAIRED_SQL_ALL), parallelism=1)
     assert [r.ea for r in report.rows] == [True, False]
-    assert executions["select name FROM stadium WHERE city = 'Leeds'"] == 2
+    assert executions["select all name FROM stadium WHERE city = 'Leeds'"] == 2
     assert connections["opened"] == 1  # the connection outlives the group
 
 
@@ -1107,21 +1139,22 @@ def test_no_descriptor_left_open_after_evaluate(two_databases, tmp_path, monkeyp
         assert _open_descriptors() == before
 
 
-def test_gold_normalized_once_per_group(paired, monkeypatch):
-    golds = {sample.gold_query for sample in paired[0]}
-    normalized = Counter()
-    normalize = evalkit._normalize_sql
+def test_gold_canonicalized_once_per_sample(paired, monkeypatch):
+    golds = {gold_sql(sample.gold_query).text for sample in paired[0]}
+    canonicalized = Counter()
+    canonical = evalkit.canonical_sql
 
-    def counting_normalize(text):
+    def counting_canonical(text):
         if text in golds:
-            normalized["gold"] += 1
-        return normalize(text)
+            canonicalized["gold"] += 1
+        return canonical(text)
 
-    monkeypatch.setattr(evalkit, "_normalize_sql", counting_normalize)
+    monkeypatch.setattr(evalkit, "canonical_sql", counting_canonical)
     samples, schemas, db_paths = paired
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
                       question_keyed_gateway(PAIRED_SQL), parallelism=1)
-    assert normalized["gold"] == len(PAIRED_GOLDS)
+    # to group the samples; exact_match reuses the group's key
+    assert canonicalized["gold"] == len(PAIRED)
     # each final query differs from its gold only outside literals, or not at all
     assert [r.exact_match for r in report.rows] == PAIRED_EA
 

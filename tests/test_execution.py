@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from nl2sql.evalkit import _normalize_sql
 from nl2sql.execution import (
     ExecutionOutcome,
     SanitizeError,
     SqlQuery,
     _cut_at_statement_end,
     canonical_rows,
+    canonical_sql,
     canonical_value,
     compare_results,
     connect_readonly,
@@ -60,6 +60,17 @@ SANITIZE_CORPUS = [
     ("The query you want is SELECT id FROM t;", "SELECT id FROM t"),
     ("```sql\nselect a from b;\n```\n\nLet me know if you need anything else.",
      "select a from b"),
+    # a semicolon in a comment does not end the statement
+    ("SELECT name FROM singer -- names only; no ids\nWHERE age > 30;",
+     "SELECT name FROM singer -- names only; no ids\nWHERE age > 30"),
+    ("SELECT name /* pick; names */ FROM singer WHERE age > 30",
+     "SELECT name /* pick; names */ FROM singer WHERE age > 30"),
+    ("SELECT [a;b], `c;d` FROM t; SELECT 2", "SELECT [a;b], `c;d` FROM t"),
+    # nor does a keyword in a comment or literal of a fenced block start it
+    ("```sql\n-- select every singer name\nSELECT name FROM singer;\n```",
+     "SELECT name FROM singer"),
+    ("```sql\n/* WITH care */ 'values' -- VALUES\nSELECT 'select' FROM t\n```",
+     "SELECT 'select' FROM t"),
 ]
 
 SANITIZE_REJECTS = [
@@ -147,6 +158,13 @@ def test_execute_timeout(guarded_db):
     )
     outcome = execute_once(guarded_db, slow, timeout=0.2)
     assert outcome.status == "timeout"
+
+
+def test_execute_reads_past_leading_comments(guarded_db):
+    outcome = execute_once(guarded_db, SqlQuery("-- how many\n/* singers */ SELECT COUNT(*) FROM singer"))
+    assert outcome.status == "success" and outcome.rows == [(6,)]
+    refused = execute_once(guarded_db, SqlQuery("/* SELECT */ DELETE FROM singer"))
+    assert refused.status == "failure"
 
 
 def test_execute_rejects_write_statements(guarded_db):
@@ -373,65 +391,105 @@ def test_execute_canonicalizes_mixed_rows(tmp_path):
     ("SELECT a, (SELECT max(b) FROM u ORDER BY b) FROM t", False),
     ("select a from t order      by a", True),
     ("SELECT a FROM t ORDER\nBY a", True),
+    ("SELECT name FROM singer -- ORDER BY name", False),
+    ("SELECT name FROM singer /* ORDER BY name */", False),
+    ("SELECT name FROM singer -- the singer's name\nORDER BY name", True),
+    ("SELECT [it's] FROM t ORDER BY 1", True),
+    ("SELECT `it's` FROM t ORDER /* by what? */ BY 1", True),
 ])
 def test_has_top_level_order_by(sql, expected):
     assert has_top_level_order_by(SqlQuery(sql)) is expected
 
 
-# --- the literal scan against a per-character reference -------------------------
-# The reference is the earlier scanner, one character at a time; the three
-# callers below are the earlier callers built on it.
+# --- the lexer against a per-character reference ---------------------------------
+# The reference reads SQLite's quoted tokens and comments one character at a
+# time; the callers below are built on it as the library's are on the lexer.
 
-def _reference_outside_literals(text):
-    quote = None
-    depth = 0
+_SQL_BLANKS = " \t\n\f\r"
+_CLOSERS = {"'": "'", '"': '"', "`": "`", "[": "]"}
+
+
+def _reference_lex(text):
+    """Yield (i, ch, kind) for each character: kind is "quoted" inside a
+    quoted token (its quotes included), "comment" inside a comment (its
+    markers included, the newline that ends a -- comment not), else "code"."""
+    state, opened = "code", 0  # state: "code", "--", "/*" or a closing quote
     for i, ch in enumerate(text):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
+        if state == "code":
+            if ch in _CLOSERS:
+                state, opened = _CLOSERS[ch], i
+            elif text.startswith(("--", "/*"), i):
+                state, opened = text[i:i + 2], i
+            else:
+                yield i, ch, "code"
+                continue
+            yield i, ch, "quoted" if state in _CLOSERS.values() else "comment"
+        elif state == "--":
+            if ch == "\n":
+                state = "code"
+                yield i, ch, "code"
+            else:
+                yield i, ch, "comment"
+        elif state == "/*":
+            yield i, ch, "comment"
+            if ch == "/" and text[i - 1] == "*" and i >= opened + 3:
+                state = "code"
         else:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth = max(0, depth - 1)
-            yield i, ch, depth
+            yield i, ch, "quoted"
+            if ch == state and i > opened:
+                state = "code"
+
+
+def _reference_canonical_sql(text):
+    if any("\ud800" <= ch <= "\udfff" for ch in text):
+        return text  # SQLite cannot take it
+    out = []  # (character, inside a quoted token)
+    for _, ch, kind in _reference_lex(text):
+        if kind == "quoted":
+            out.append((ch, True))
+            continue
+        if kind == "comment" or ch in _SQL_BLANKS:
+            ch = " "
+        elif "A" <= ch <= "Z":
+            ch = ch.lower()
+        if ch == " " and (not out or out[-1] == (" ", False)):
+            continue
+        out.append((ch, False))
+    if out and out[-1] == (" ", False):
+        out.pop()
+    return "".join(ch for ch, _ in out)
 
 
 def _reference_cut_at_statement_end(text):
-    for i, ch, _ in _reference_outside_literals(text):
-        if ch == ";":
+    for i, ch, kind in _reference_lex(text):
+        if kind == "code" and ch == ";":
             return text[:i], True
     return text, False
 
 
 def _reference_has_top_level_order_by(text):
-    upper = text.upper()
-    for i, _, depth in _reference_outside_literals(text):
-        if (depth == 0 and re.compile(r"ORDER\s+BY\b").match(upper, i)
-                and (i == 0 or not upper[i - 1].isalnum())):
+    canonical = _reference_canonical_sql(text)
+    depth = 0
+    for i, ch, kind in _reference_lex(canonical):
+        if kind != "code":
+            continue
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        elif (depth == 0 and re.compile(r"order[ \t\n\f\r]+by\b", re.I).match(canonical, i)
+              and (i == 0 or not canonical[i - 1].isalnum())):
             return True
     return False
 
 
-def _reference_normalize_sql(text):
-    text = re.sub(r"\s+", " ", text.strip().rstrip(";"))
-    chars = list(text)
-    for i, ch, _ in _reference_outside_literals(text):
-        chars[i] = ch.lower()
-    return "".join(chars)
-
-
-# SQL-shaped fragments. Characters whose upper() is longer than themselves
-# (such as "ß") are left out: the reference indexes text.upper() by
-# positions in text, so on them it reads the wrong character.
+# SQL-shaped fragments, with every quote, bracket and comment marker
 _SQL_PIECES = st.sampled_from([
-    "ORDER BY", "order\n by", "Order", "BY", "x", "1", "_", " ", "(", ")",
-    "'", "\"", ";", "ΑΣ", "é", "İ",
+    "ORDER BY", "order\n by", "Order", "BY", "x", "1", "_", " ", "\t", "\n",
+    "\r", "\f", "\v", "(", ")", "'", "\"", "`", "[", "]", ";", "-", "--", "/",
+    "*", "/*", "*/", "ΑΣ", "é", "İ", "ß", "\ud800",
 ])
-_sql_like = st.lists(_SQL_PIECES, max_size=16).map("".join) | st.text(max_size=40).filter(
-    lambda t: all(len(ch.upper()) == 1 for ch in t))
+_sql_like = st.lists(_SQL_PIECES, max_size=16).map("".join) | st.text(max_size=40)
 
 
 @given(_sql_like)
@@ -439,7 +497,29 @@ _sql_like = st.lists(_SQL_PIECES, max_size=16).map("".join) | st.text(max_size=4
 def test_literal_scan_callers_match_reference(text):
     assert _cut_at_statement_end(text) == _reference_cut_at_statement_end(text)
     assert has_top_level_order_by(SqlQuery(text)) is _reference_has_top_level_order_by(text)
-    assert _normalize_sql(text) == _reference_normalize_sql(text)
+    assert canonical_sql(text) == _reference_canonical_sql(text)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("  SELECT /* x */ A\tFROM [T T]  -- y\n 'x  y' ", "select a from [T T] 'x  y'"),
+    ("SELECT 1 -- it's\n, 'A'", "select 1 , 'A'"),
+    ("SELECT `Ab`, \"Cd\", [Ef] FROM T", "select `Ab`, \"Cd\", [Ef] from t"),
+    ("SELECT 'it''S' FROM t", "select 'it''S' from t"),
+    ("SELECT Été FROM t", "select Été from t"),  # SQLite folds ASCII only
+    ("SELECT 1\v", "select 1\v"),  # not SQLite whitespace
+    ("SELECT 1 /* open", "select 1"),
+    ("SELECT 'open  ", "select 'open  "),
+    ("SELECT 1-/**/-1", "select 1- -1"),
+    ("SELECT 1 -- \ud800", "SELECT 1 -- \ud800"),  # SQLite cannot take it
+])
+def test_canonical_sql(text, expected):
+    assert canonical_sql(text) == expected
+
+
+def test_canonical_sql_keeps_whitespace_and_case_inside_literals():
+    assert (canonical_sql("SELECT 1 WHERE a = 'x  y'")
+            != canonical_sql("SELECT 1 WHERE a = 'x y'"))
+    assert canonical_sql("SELECT 'Leeds'") != canonical_sql("SELECT 'leeds'")
 
 
 # --- comparator oracle suite --------------------------------------------------
@@ -582,6 +662,57 @@ def test_ea_reflexive_over_corpus(guarded_db):
         assert outcome.status == "success"
         again = execute_once(guarded_db, SqlQuery(gold))
         assert compare_results(outcome, again, order_sensitive)
+
+
+# --- one key for SQLite-equivalent spellings -------------------------------------
+
+# Queries on the fixture database: the comparator corpus, and quoted
+# identifiers of every kind.
+FIXTURE_QUERIES = sorted({q for gold, pred, _, _ in COMPARATOR_PAIRS for q in (gold, pred)}) + [
+    "SELECT [name], `age` FROM \"singer\" WHERE country = 'FR' ORDER BY [age] DESC",
+    "SELECT s.\"name\" FROM singer AS [s] WHERE s.name <> 'Bo' AND s.country IN ('US', 'JP')",
+]
+# What a space between two tokens may become: SQLite whitespace, comments
+_BLANKS = st.sampled_from([
+    " ", "  ", "\n", "\t", " \r\n ", "\f", " /* it's */ ", " -- a [note]\n", " /*\n*/ ",
+])
+
+
+@st.composite
+def _respelled(draw, query):
+    """``query`` with random ASCII case outside quoted tokens, and each
+    space between tokens made a random run of whitespace and comments."""
+    out = [draw(st.sampled_from(["", " ", "\n", "/* lead */ "]))]
+    for _, ch, kind in _reference_lex(query):
+        if kind == "code" and ch == " ":
+            ch = draw(_BLANKS)
+        elif kind == "code" and ch.isascii() and ch.isalpha() and draw(st.booleans()):
+            ch = ch.swapcase()
+        out.append(ch)
+    out.append(draw(st.sampled_from(["", " ", "\n", " -- end", " /* end"])))
+    return "".join(out)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_respelled_query_has_its_key_and_its_outcome(fixture_db, data):
+    query = data.draw(st.sampled_from(FIXTURE_QUERIES), label="query")
+    respelled = data.draw(_respelled(query), label="respelled")
+    assert canonical_sql(respelled) == canonical_sql(query)
+    a, b = execute_once(fixture_db, SqlQuery(query)), execute_once(fixture_db, SqlQuery(respelled))
+    # a failure's message may quote the text; the memo serves only successes
+    assert (a.status, a.rows, a.column_count, a.error_kind) \
+        == (b.status, b.rows, b.column_count, b.error_kind)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_a_change_inside_a_quoted_token_changes_the_key(data):
+    query = data.draw(st.sampled_from([q for q in FIXTURE_QUERIES if "'" in q or "[" in q]))
+    inside = [i for i, ch, kind in _reference_lex(query) if kind == "quoted" and ch.isalnum()]
+    i = data.draw(st.sampled_from(inside), label="position")
+    changed = query[:i] + data.draw(st.sampled_from("xX _1é\t"), label="inserted") + query[i:]
+    assert canonical_sql(changed) != canonical_sql(query)
 
 
 def test_compare_failures_never_match():

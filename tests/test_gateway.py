@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from nl2sql.gateway import (
     ScriptedBackend,
     ScriptedMissError,
     TransportError,
+    VALID_MESSAGE_ROLES,
     cache_key,
     read_replay_log,
     replay_log_path,
@@ -85,6 +87,33 @@ def test_cache_key_distinguishes_distinct_messages(a, b):
     ka = cache_key(make_request(messages=[("user", a)]))
     kb = cache_key(make_request(messages=[("user", b)]))
     assert (ka == kb) == (a == b)
+
+
+def reference_cache_key(request):
+    """cache_key as it was before it kept the hash of each key's head."""
+    payload = json.dumps(
+        [request.model_id, round(request.temperature, 6),
+         [[r, c] for r, c in request.messages]],
+        ensure_ascii=False,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+# text with escapes, non-ASCII and lone surrogates
+_key_text = st.text(max_size=12) | st.text(
+    st.characters(categories=["Cs", "Lu", "Ll", "Nd", "Po", "Cc", "Zs", "So"]), max_size=12)
+
+
+@given(model_id=st.sampled_from(["m1", "m\u00e9", "m\"1\\"]) | st.text(max_size=8),
+       temperature=st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0, 10, allow_nan=False),
+       first=st.tuples(st.sampled_from(["system", "user"]), _key_text),
+       rest=st.lists(st.tuples(st.sampled_from(VALID_MESSAGE_ROLES), _key_text), max_size=3))
+def test_cache_key_matches_the_one_dump_reference(model_id, temperature, first, rest):
+    request = make_request(model_id=model_id, temperature=temperature,
+                           messages=[first, *rest])
+    # twice: the second call hashes its head from the cached state
+    assert cache_key(request) == reference_cache_key(request) == cache_key(request)
 
 
 def test_scripted_exact_match():

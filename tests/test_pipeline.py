@@ -89,9 +89,9 @@ def test_alternating_wrongs_stop_before_resent_round(music_schema, fixture_db):
 
 def test_repeated_candidate_still_executes(music_schema, fixture_db, monkeypatch):
     """A repeated candidate is executed again, so a transient failure of
-    its first run can clear. Its text differs from the gold's, so the
-    outcome memo cannot serve it from the gold query's run."""
-    candidate = "SELECT count(*) FROM singer"
+    its first run can clear. It differs from the gold in more than case, so
+    the outcome memo cannot serve it from the gold query's run."""
+    candidate = "SELECT count(id) FROM singer"
     calls = []
 
     def flaky_execute(connection, query, timeout=30.0):
@@ -108,6 +108,23 @@ def test_repeated_candidate_still_executes(music_schema, fixture_db, monkeypatch
     assert result.trace.attempts[1].repeat_of_earlier
     assert result.trace.status == "solved"
     assert result.ea is True
+
+
+def test_candidate_spelled_like_the_gold_is_served_from_its_run(music_schema, fixture_db,
+                                                               monkeypatch):
+    calls = []
+
+    def counting_execute(connection, query, timeout=30.0):
+        calls.append(query.text)
+        return execute(connection, query, timeout=timeout)
+
+    monkeypatch.setattr(pipeline, "execute", counting_execute)
+    candidate = "select count(*)\nFROM singer -- every singer"
+    result = run(music_schema, fixture_db, scripted_gateway([candidate]))
+    assert calls == [GOLD]
+    assert [(a.sql, a.status, a.row_count) for a in result.trace.attempts] \
+        == [(candidate, "success", 1)]
+    assert result.ea is True and result.trace.status == "solved"
 
 
 def test_attempt_bound_holds_for_any_budget(music_schema, fixture_db):
@@ -217,6 +234,9 @@ def test_repeat_guard_flags_identical_resubmission(music_schema, fixture_db):
 def test_repeat_guard_rules():
     assert repeat_guard(["SELECT a FROM t"], "SELECT a FROM t")
     assert repeat_guard(["SELECT a FROM t"], "SELECT  a\n FROM\tt")
+    assert repeat_guard(["SELECT a FROM t"], "select A from T -- again")
+    assert repeat_guard(["SELECT a FROM t"], "SELECT a /* same */ FROM t")
+    assert not repeat_guard(["SELECT a FROM t WHERE b = 'x'"], "SELECT a FROM t WHERE b = 'X'")
     assert not repeat_guard(["SELECT a FROM t"], "SELECT b FROM t")
     assert not repeat_guard([], "SELECT a FROM t")
 
