@@ -11,6 +11,7 @@ with stage errors present.
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -19,6 +20,7 @@ import yaml
 from . import agents, evalkit
 from .execution import connect_readonly
 from .gateway import (
+    AGENT_ROLES,
     Gateway,
     ModelRoute,
     RemoteBackend,
@@ -28,7 +30,13 @@ from .gateway import (
     replay_log_path,
 )
 from .jsonl import AppendLog
-from .pipeline import PipelineConfig, append_trace, load_traces, run_pipeline
+from .pipeline import (
+    TRIGGER_MODES,
+    PipelineConfig,
+    append_trace,
+    load_traces,
+    run_pipeline,
+)
 from .schema import SchemaError, introspect_database, load_tables_json
 from .taxonomy import default_taxonomy, render_summary
 
@@ -59,7 +67,58 @@ def load_config(path) -> dict:
     return data
 
 
-def _build_backend(spec: dict):
+def _section(config: dict, name) -> dict:
+    """The mapping under ``name`` in the config, {} when unset."""
+    value = config.get(name) or {}
+    if not isinstance(value, dict):
+        raise CliError(f"config setting {name} must be a mapping, not {value!r}")
+    return value
+
+
+def _number(minimum, integral=False):
+    """A converter to a finite int (``integral``) or float of at least
+    ``minimum``; booleans and other types are refused with ValueError."""
+    def convert(value):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (integral and not isinstance(value, int))
+                or not math.isfinite(value) or value < minimum):
+            kind = "an integer" if integral else "a number"
+            raise ValueError(f"must be {kind} of at least {minimum}")
+        return value if integral else float(value)
+    return convert
+
+
+def _flag(value):
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def _one_of(choices):
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return value
+    return convert
+
+
+def _checked(label, value, convert):
+    """``value`` passed through ``convert``; a value it refuses is a usage
+    error that names the setting by ``label``."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise CliError(f"{label} {exc}, not {value!r}") from exc
+
+
+def _setting(pipeline_cfg: dict, name, convert, default):
+    return _checked(f"config setting pipeline.{name}", pipeline_cfg.get(name, default),
+                    convert)
+
+
+def _build_backend(spec: dict, name="default"):
+    if not isinstance(spec, dict):
+        raise CliError(f"config setting backends.{name} must be a mapping, not {spec!r}")
     kind = spec.get("type", "remote")
     if kind == "scripted":
         scripts = spec.get("scripts", {})
@@ -80,17 +139,30 @@ def _build_backend(spec: dict):
 def build_gateway(config: dict, model_flag=None, cache_dir_flag=None,
                   max_in_flight=1) -> Gateway:
     backends = {
-        name: _build_backend(spec)
-        for name, spec in (config.get("backends") or {}).items()
+        name: _build_backend(spec, name)
+        for name, spec in _section(config, "backends").items()
     }
     if not backends:
         backends["default"] = _build_backend({"type": "remote"})
 
-    route_cfg = config.get("route")
+    route_cfg = _section(config, "route")
     if route_cfg:
         routes = {}
         for role, entry in route_cfg.items():
+            if role not in AGENT_ROLES:
+                raise CliError(f"config setting route.{role} is not an agent role;"
+                               f" the roles are {', '.join(AGENT_ROLES)}")
+            if not (isinstance(entry, dict) and isinstance(entry.get("backend"), str)
+                    and isinstance(entry.get("model"), str)):
+                raise CliError(f"config setting route.{role} must give a backend"
+                               f" and a model, not {entry!r}")
+            if entry["backend"] not in backends:
+                raise CliError(f"config setting route.{role} names backend"
+                               f" {entry['backend']!r}, which backends does not define")
             routes[role] = (entry["backend"], entry["model"])
+        missing = [role for role in AGENT_ROLES if role not in routes]
+        if missing:
+            raise CliError(f"config setting route maps no backend for: {', '.join(missing)}")
         route = ModelRoute(routes)
     else:
         backend_id = next(iter(backends))
@@ -103,34 +175,38 @@ def build_gateway(config: dict, model_flag=None, cache_dir_flag=None,
             for name, backend in backends.items()
         }
 
-    pipeline_cfg = config.get("pipeline") or {}
+    pipeline_cfg = _section(config, "pipeline")
     return Gateway(
         backends=backends,
         route=route,
-        temperature=float(pipeline_cfg.get("temperature", 0.0)),
-        max_output_tokens=int(pipeline_cfg.get("max_output_tokens", 4096)),
+        temperature=_setting(pipeline_cfg, "temperature", _number(0), 0.0),
+        max_output_tokens=_setting(pipeline_cfg, "max_output_tokens",
+                                   _number(1, integral=True), 4096),
         max_in_flight=max_in_flight,
     )
 
 
 def build_pipeline_config(config: dict, args) -> PipelineConfig:
-    pipeline_cfg = dict(config.get("pipeline") or {})
+    pipeline_cfg = _section(config, "pipeline")
     overrides = {}
     templates_dir = getattr(args, "templates_dir", None) or config.get("templates_dir")
     if templates_dir:
         overrides["templates"] = agents.load_templates(templates_dir)
+    if getattr(args, "max_corrections", None) is not None:
+        max_corrections = _checked("--max-corrections", args.max_corrections,
+                                   _number(0, integral=True))
+    else:
+        max_corrections = _setting(pipeline_cfg, "max_correction_attempts",
+                                   _number(0, integral=True), 3)
     return PipelineConfig(
-        max_correction_attempts=(
-            args.max_corrections
-            if getattr(args, "max_corrections", None) is not None
-            else int(pipeline_cfg.get("max_correction_attempts", 3))
-        ),
+        max_correction_attempts=max_corrections,
         skip_query_plan=getattr(args, "no_query_plan", False)
-        or bool(pipeline_cfg.get("skip_query_plan", False)),
+        or _setting(pipeline_cfg, "skip_query_plan", _flag, False),
         skip_correction=getattr(args, "no_correction", False)
-        or bool(pipeline_cfg.get("skip_correction", False)),
-        correction_trigger=pipeline_cfg.get("correction_trigger", "gold_mismatch"),
-        timeout=float(pipeline_cfg.get("timeout", 30.0)),
+        or _setting(pipeline_cfg, "skip_correction", _flag, False),
+        correction_trigger=_setting(pipeline_cfg, "correction_trigger",
+                                    _one_of(TRIGGER_MODES), "gold_mismatch"),
+        timeout=_setting(pipeline_cfg, "timeout", _number(0), 30.0),
         **overrides,
     )
 
@@ -201,7 +277,8 @@ def cmd_eval(args) -> int:
     gateway = build_gateway(config, model_flag=args.model, cache_dir_flag=args.cache_dir,
                             max_in_flight=max(1, args.parallelism))
     pipeline_config = build_pipeline_config(config, args)
-    prices = config.get("prices") or {}
+    prices = {model: _checked(f"config setting prices.{model}", price, _number(0))
+              for model, price in _section(config, "prices").items()}
 
     report = evalkit.evaluate(
         samples, schemas, db_paths, pipeline_config, gateway,

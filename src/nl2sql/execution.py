@@ -47,6 +47,12 @@ class ExecutionOutcome:
 _STATEMENT_START = re.compile(r"\b(SELECT|WITH|VALUES)\b", re.IGNORECASE)
 _ORDER_BY_OR_PAREN = re.compile(r"[()]|order[ \t\n\f\r]+by\b", re.IGNORECASE)
 _FENCE = re.compile(r"```[ \t]*(?:sql|sqlite|SQL)?\s*\n?(.*?)```", re.DOTALL)
+# In unfenced text: a comment, -- at the start of a line or a closed /* */
+# anywhere, or a statement start. A -- inside a line of prose is a dash.
+_UNFENCED_START = re.compile(r"""
+    (?P<comment> ^[ \t]*--[^\n]* | /\*.*?\*/ )
+  | (?P<start> \b(?:SELECT|WITH|VALUES)\b )
+""", re.VERBOSE | re.IGNORECASE | re.MULTILINE | re.DOTALL)
 
 # deliberately excludes words common in English prose (is, in, on, and, or)
 _SQL_TOKENS = frozenset(
@@ -160,11 +166,14 @@ def sanitize(raw: str) -> SqlQuery:
             text = block
             break
     if start is None:
-        # Unfenced, SQL comes with prose, whose apostrophes are not quotes.
-        match = _STATEMENT_START.search(text)
-        if not match:
+        # Unfenced, SQL comes with prose, whose apostrophes are not quotes;
+        # comments before the statement are skipped.
+        for match in _UNFENCED_START.finditer(text):
+            if match.lastgroup == "start":
+                start = match.start()
+                break
+        if start is None:
             raise SanitizeError(f"no SQL statement found in: {raw.strip()[:120]!r}")
-        start = match.start()
     text = text[start:]
 
     statement, had_semicolon = _cut_at_statement_end(text)
@@ -336,6 +345,25 @@ def execute(connection, query: SqlQuery, timeout: float = 30.0) -> ExecutionOutc
     finally:
         cursor.close()
         _DEADLINES.disarm(token)
+
+
+def program(connection, query: SqlQuery):
+    """The program SQLite compiles ``query`` to on ``connection``: the
+    (opcode, p1, p2, p3, p4, p5) of each row of ``EXPLAIN``, without the
+    comment column and the ``Init`` row's p4, which may hold the text. None
+    when the text does not compile, as when it holds two statements or a
+    lone surrogate. ``EXPLAIN`` runs no part of the query, so no deadline
+    is armed."""
+    cursor = connection.cursor()
+    try:
+        rows = cursor.execute("EXPLAIN " + query.text).fetchall()
+    # before Python 3.11, two statements raise sqlite3.Warning
+    except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError):
+        return None
+    finally:
+        cursor.close()
+    return tuple((opcode, p1, p2, p3, None if opcode == "Init" else p4, p5)
+                 for _, opcode, p1, p2, p3, p4, p5, _ in rows)
 
 
 def has_top_level_order_by(query: SqlQuery) -> bool:

@@ -6,6 +6,7 @@ sharing only immutable schema/taxonomy/config and the gateway.
 """
 
 import hashlib
+import time
 from dataclasses import dataclass, field
 
 from . import agents, jsonl
@@ -17,11 +18,24 @@ from .execution import (
     compare_results,
     execute,
     has_top_level_order_by,
+    program,
     sanitize,
 )
 from .taxonomy import default_taxonomy
 
 TRIGGER_MODES = ("execution_error_only", "gold_mismatch")
+
+# A success whose execute call took at least this much of the worker
+# thread's CPU may serve a later candidate by its compiled program. Measured
+# on a shared 2-vCPU host: an EXPLAIN costs about 55 µs; the queries of the
+# benchmark's small (Spider-sized) databases take at most 0.63 ms, so they
+# are never compiled; on its large databases the costly queries take at
+# least 3.3 ms, and the queries of the product table about 1 ms.
+COSTLY_EXECUTE_CPU_S = 0.002
+# The memo key of its costly successes: a list of the (query, outcome)
+# pairs not compiled yet, and a dict from each compiled program to its
+# outcome. No text's canonical_sql form is equal to it.
+_COSTLY = ("costly successes",)
 
 
 @dataclass
@@ -156,15 +170,27 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
 
     ``outcomes`` memoizes ExecutionOutcomes on that database by the
     ``canonical_sql`` form of the query text, which two texts share only
-    when SQLite compiles them to the same program, so a served outcome is
-    the one executing the text would return. A caller may pass the same
-    dict to later calls on the same database, which the database must not
-    change under. The gold query runs first unless the memo holds it, and
-    its outcome is kept whatever its status. A candidate is served from the
-    memo only when the memo holds a success for its form; otherwise it is
-    executed, and kept if it succeeds, so a failed or timed-out query that
-    comes back runs again. Without ``outcomes`` the memo lasts for this
-    call only.
+    when SQLite compiles them to the same program. A caller may pass the
+    same dict to later calls on the same database, which the database must
+    not change under. The gold query runs first unless the memo holds it,
+    and its outcome is kept whatever its status. A candidate is served from
+    the memo only when it holds a success for the candidate; otherwise the
+    candidate is executed, and kept if it succeeds, so a failed or
+    timed-out query that comes back runs again.
+
+    A success whose ``execute`` call took at least ``COSTLY_EXECUTE_CPU_S``
+    of this thread's CPU can also serve a candidate of another form that
+    compiles to the same program (``execution.program``): table aliases
+    added or dropped, ``AS``, qualified columns, ``SELECT ALL``. A
+    candidate is compiled only when it misses by form while the memo holds
+    such a success, and each stored success at most once, so queries
+    cheaper than a compile never pay for one. This is sound: on one
+    connection, two texts with one program read the same rows, in the
+    same order and with the same column count, as long as the database
+    does not change, which the memo assumes already. Their column names
+    may differ, but an ExecutionOutcome holds none. So a served outcome is
+    the one executing the text would return. Without ``outcomes`` the memo
+    lasts for this call only.
     """
     if config.correction_trigger == "gold_mismatch" and not gold_query:
         raise ValueError("gold_mismatch trigger requires a gold query")
@@ -173,6 +199,23 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     trace = PipelineTrace(sample_id=sample_id or question[:48])
     if outcomes is None:
         outcomes = {}
+    uncompiled, by_program = outcomes.setdefault(_COSTLY, ([], {}))
+
+    def run(query, compiled=None):
+        """Executes ``query``; a costly success is kept for matching by its
+        program, ``compiled`` when that is known already."""
+        started, started_cpu = time.perf_counter(), time.thread_time()
+        outcome = execute(connection, query, timeout=config.timeout)
+        # a thread's CPU time never outruns wall time, and perf_counter,
+        # unlike thread_time, needs no system call
+        if (outcome.status == "success"
+                and time.perf_counter() - started >= COSTLY_EXECUTE_CPU_S
+                and time.thread_time() - started_cpu >= COSTLY_EXECUTE_CPU_S):
+            if compiled is None:
+                uncompiled.append((query, outcome))
+            else:
+                by_program[compiled] = outcome
+        return outcome
 
     order_sensitive = False
     gold_outcome = None
@@ -181,8 +224,7 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
         key = canonical_sql(gold.text)
         gold_outcome = outcomes.get(key)
         if gold_outcome is None:
-            gold_outcome = outcomes[key] = execute(
-                connection, gold, timeout=config.timeout)
+            gold_outcome = outcomes[key] = run(gold)
         order_sensitive = has_top_level_order_by(gold)
 
     def verdict(outcome):
@@ -229,7 +271,15 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
         key = canonical_sql(query.text)
         outcome = outcomes.get(key)
         if outcome is None or outcome.status != "success":
-            outcome = execute(connection, query, timeout=config.timeout)
+            outcome = compiled = None
+            if uncompiled or by_program:
+                while uncompiled:  # a text that no longer compiles goes under None
+                    stored, stored_outcome = uncompiled.pop()
+                    by_program.setdefault(program(connection, stored), stored_outcome)
+                compiled = program(connection, query)
+                outcome = by_program.get(compiled) if compiled is not None else None
+            if outcome is None:
+                outcome = run(query, compiled)
             if outcome.status == "success":
                 outcomes[key] = outcome
         ea = verdict(outcome)

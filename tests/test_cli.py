@@ -254,6 +254,45 @@ def test_eval_parallelism_bounds_calls_in_flight(tmp_path, eval_assets, monkeypa
     assert seen == {"max_in_flight": 8, "parallelism": 8}
 
 
+_ALL_ROLES = ("schema_linking", "subproblem", "query_plan", "sql",
+              "correction_plan", "correction_sql")
+
+
+@pytest.mark.parametrize("command", ["ask", "eval"])
+@pytest.mark.parametrize("flags, extra, named", [
+    (["--max-corrections", "-1"], {}, "--max-corrections"),
+    ([], {"pipeline": {"correction_trigger": "sometimes"}}, "pipeline.correction_trigger"),
+    ([], {"pipeline": {"timeout": "soon"}}, "pipeline.timeout"),
+    ([], {"pipeline": {"max_correction_attempts": 1.5}}, "pipeline.max_correction_attempts"),
+    ([], {"pipeline": {"skip_correction": "no"}}, "pipeline.skip_correction"),
+    ([], {"pipeline": {"temperature": -1}}, "pipeline.temperature"),
+    ([], {"pipeline": [1, 2]}, "pipeline"),
+    ([], {"backends": {"fixtures": "scripted"}}, "backends.fixtures"),
+    ([], {"route": {"sql": {"model": "m"}}}, "route.sql"),
+    ([], {"route": {"sql": {"backend": "fixtures", "model": "m"}}}, "route"),
+    ([], {"route": {role: {"backend": "nope" if role == "sql" else "fixtures", "model": "m"}
+                    for role in _ALL_ROLES}}, "route.sql"),
+    ([], {"route": {"planner": {"backend": "fixtures", "model": "m"}}}, "route.planner"),
+])
+def test_invalid_setting_exits_1_before_any_model_call(tmp_path, eval_assets, fixture_db,
+                                                      capsys, command, flags, extra, named):
+    questions, tables, db_root, _ = eval_assets
+    # no scripted reply: a model call would end the command with stage errors
+    config = write_config(tmp_path, {}, **extra)
+    if command == "ask":
+        argv = ["ask", "--db-file", fixture_db, "--question", "q"]
+    else:
+        argv = ["eval", "--questions", questions, "--tables", tables, "--db-root", db_root,
+                "--parallelism", "1", "--out", str(tmp_path / "out")]
+    code = main(argv + ["--config", config] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    error, = captured.err.splitlines()
+    assert error.startswith("error: ") and f" {named} " in error
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_requires_inputs(capsys):
     assert main(["eval"]) == 1
 

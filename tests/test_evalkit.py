@@ -1,11 +1,15 @@
 import errno
 import hashlib
+import importlib
 import itertools
 import json
 import os
 import random
+import statistics
+import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from dataclasses import asdict
 
@@ -28,7 +32,8 @@ from nl2sql.evalkit import (
     write_report,
 )
 from nl2sql import pipeline
-from nl2sql.gateway import ChatResponse, Gateway, ModelRoute, ScriptedBackend
+from nl2sql.agents import load_default_templates
+from nl2sql.gateway import ChatResponse, Gateway, ModelRoute, RemoteBackend, ScriptedBackend
 from nl2sql.jsonl import AppendLog
 from nl2sql.execution import ExecutionOutcome
 from nl2sql.pipeline import (
@@ -686,6 +691,140 @@ def test_failed_candidate_repeated_in_a_group_runs_each_time(paired, monkeypatch
                       parallelism=1)
     assert [(r.valid, r.ea) for r in report.rows] == [(False, False)] * 2
     assert executions == {"SELECT COUNT(*) FROM singer": 1, candidate: 2}
+
+
+@pytest.fixture()
+def compiles(monkeypatch):
+    """Counts the programs run_pipeline compiles."""
+    counts = Counter()
+    compile_program = pipeline.program
+
+    def counting_program(connection, query):
+        counts["compiled"] += 1
+        return compile_program(connection, query)
+
+    monkeypatch.setattr(pipeline, "program", counting_program)
+    return counts
+
+
+@pytest.fixture()
+def every_success_costly(monkeypatch):
+    """Lets every success be matched by its program."""
+    monkeypatch.setattr(pipeline, "COSTLY_EXECUTE_CPU_S", 0.0)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_candidates_of_their_golds_program_are_served_from_its_run(
+        paired, executions, compiles, every_success_costly, parallelism):
+    samples, schemas, db_paths = paired
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL_ALL), parallelism=parallelism)
+    assert [r.ea for r in report.rows] == PAIRED_EA
+    # the 'leeds' group's candidate differs from its gold in a literal; its
+    # repeat in the correction round is served by its own form
+    assert executions == {**{gold: 1 for gold in PAIRED_GOLDS},
+                          "select all name FROM stadium WHERE city = 'Leeds'": 1}
+    assert compiles["compiled"] > 0
+
+
+def test_program_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path, monkeypatch):
+    samples, schemas, db_paths = paired
+    fresh = {}
+    for sample in samples:
+        alone = run_pipeline_once(sample.question, schemas["music"], db_paths["music"],
+                                  PipelineConfig(), question_keyed_gateway(PAIRED_SQL_ALL),
+                                  gold_query=sample.gold_query,
+                                  sample_id=str(sample.index))
+        fresh[str(sample.index)] = json.loads(json.dumps(asdict(alone.trace)))
+    monkeypatch.setattr(pipeline, "COSTLY_EXECUTE_CPU_S", 0.0)
+    traces = tmp_path / "traces.jsonl"
+    evaluate(samples, schemas, db_paths, PipelineConfig(),
+             question_keyed_gateway(PAIRED_SQL_ALL), parallelism=1,
+             trace_path=str(traces))
+    assert {t["sample_id"]: t for t in load_traces(str(traces))} == fresh
+
+
+def test_nothing_is_compiled_at_the_default_gate(paired, executions, compiles):
+    samples, schemas, db_paths = paired
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL_ALL), parallelism=1)
+    assert [r.ea for r in report.rows] == PAIRED_EA
+    assert compiles["compiled"] == 0
+    assert executions["select all COUNT(*) FROM singer"] == 1
+
+
+def test_candidate_of_another_program_runs(paired, executions, compiles,
+                                           every_success_costly):
+    samples, schemas, db_paths = paired
+    group = [samples[0], samples[2], samples[6]]  # gold SELECT COUNT(*) FROM singer
+    replies = ["select all COUNT(*) FROM concert",
+               "select COUNT(*) FROM singer WHERE age > 0",
+               "select count(*) FROM singer AS s"]
+    evaluate(group, schemas, db_paths, PipelineConfig(skip_correction=True),
+             question_keyed_gateway({s.question: r for s, r in zip(group, replies)}),
+             parallelism=1)
+    assert executions == {"SELECT COUNT(*) FROM singer": 1, replies[0]: 1, replies[1]: 1}
+    # each candidate once; the gold when the first candidate misses by form
+    assert compiles["compiled"] == 4
+
+
+@pytest.mark.parametrize("failed", [
+    ExecutionOutcome.failure("other", "disk I/O error"),
+    ExecutionOutcome.timeout(),
+])
+def test_failed_costly_outcome_is_not_served_by_program(paired, monkeypatch,
+                                                        every_success_costly, failed):
+    samples, schemas, db_paths = paired
+    first, second = "select all COUNT(*) FROM singer", "select COUNT(*) FROM singer s"
+    executions = count_executions(
+        monkeypatch, lambda text: True,
+        outcome=lambda text: failed if text == first else None)
+    group = [samples[1], samples[4]]  # gold: stadiums in 'Leeds'
+    evaluate(group, schemas, db_paths, PipelineConfig(skip_correction=True),
+             question_keyed_gateway({group[0].question: first,
+                                     group[1].question: second}),
+             parallelism=1)
+    assert executions == {"SELECT name FROM stadium WHERE city = 'Leeds'": 1,
+                          first: 1, second: 1}
+
+
+def test_a_small_benchmark_batch_compiles_no_program(tmp_path, monkeypatch, compiles):
+    """The benchmark's replay_warm batch: 40 questions over Spider-sized
+    databases, whose queries cost far less than COSTLY_EXECUTE_CPU_S."""
+    costs = []  # the thread CPU of each execute
+    execute = pipeline.execute
+
+    def timed_execute(connection, query, timeout=30.0):
+        started = time.thread_time()
+        try:
+            return execute(connection, query, timeout=timeout)
+        finally:
+            costs.append(time.thread_time() - started)
+
+    monkeypatch.setattr(pipeline, "execute", timed_execute)
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "evalbench")
+    subprocess.run([sys.executable, os.path.join(bench, "gen.py"), "--size", "small",
+                    "--seed", "5", "--out", str(tmp_path)], check=True)
+    monkeypatch.syspath_prepend(bench)
+    monkeypatch.setenv("NL2SQL_API_KEY", "simulated")
+    simmodel = importlib.import_module("simmodel")
+    script = json.loads((tmp_path / "bench" / "script.json").read_text(encoding="utf-8"))
+    roles = {t.system_text: role for role, t in load_default_templates().items()}
+    gateway = Gateway(
+        backends={"sim": RemoteBackend("http://simulated.invalid",
+                                       session=simmodel.SimulatedModel(script, roles))},
+        route=ModelRoute.uniform("sim", "simulated-model"))
+    samples, schemas, db_paths = load_dataset(
+        str(tmp_path / "dev.json"), str(tmp_path / "tables.json"), str(tmp_path / "database"))
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(), gateway, parallelism=2)
+    expected = json.loads((tmp_path / "bench" / "expected.json").read_text(encoding="utf-8"))
+    assert [r.ea for r in report.rows] == [row["ea"] for row in expected]
+    assert statistics.median(costs) < pipeline.COSTLY_EXECUTE_CPU_S / 4
+    # A rare query can still cross the gate on a loaded host: about one in
+    # 50 passes of this batch did on a shared 2-vCPU virtual machine.
+    if max(costs) < pipeline.COSTLY_EXECUTE_CPU_S:
+        assert compiles["compiled"] == 0
 
 
 def test_resume_runs_only_pending_samples_of_a_group(paired, gold_runs, tmp_path):

@@ -21,6 +21,7 @@ from nl2sql.execution import (
     connect_readonly,
     execute,
     has_top_level_order_by,
+    program,
     sanitize,
 )
 
@@ -91,6 +92,18 @@ def test_sanitize_corpus(raw, expected):
 def test_sanitize_rejects(raw):
     with pytest.raises(SanitizeError):
         sanitize(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    "-- select every singer name\nSELECT name FROM singer",
+    "/* with care */ SELECT name FROM singer",
+    "  -- values of note\n/* a\nselect */\nSELECT name FROM singer;",
+    # an apostrophe in prose is not a quote, nor a dash in a line a comment
+    "Here's the query: SELECT name FROM singer",
+    "Here it is -- SELECT name FROM singer",
+])
+def test_unfenced_reply_skips_comments_before_its_statement(raw):
+    assert sanitize(raw).text == "SELECT name FROM singer"
 
 
 def test_sanitize_empty_input():
@@ -713,6 +726,102 @@ def test_a_change_inside_a_quoted_token_changes_the_key(data):
     i = data.draw(st.sampled_from(inside), label="position")
     changed = query[:i] + data.draw(st.sampled_from("xX _1é\t"), label="inserted") + query[i:]
     assert canonical_sql(changed) != canonical_sql(query)
+
+
+# --- one program for respellings SQLite compiles alike ----------------------------
+
+# Fixture queries with slots for a respelling: {sel} is SELECT or SELECT ALL,
+# {A} and {B} a table with or without an alias, and {a} and {b} qualify its
+# columns by that alias or table name, or, in a query of one table, not at all.
+PROGRAM_TEMPLATES = [
+    ("{sel} {a}name, {a}age FROM {A} WHERE {a}country = 'FR' "
+     "ORDER BY {a}age DESC LIMIT 2", {"a": "singer"}),
+    ("{sel} COUNT(*) FROM {A} WHERE {a}age > 20", {"a": "singer"}),
+    ("{sel} {a}title FROM {A} WHERE {a}sales >= 1.5 ORDER BY {a}title", {"a": "album"}),
+    ("{sel} {a}name, COUNT(*) FROM {A} JOIN {B} ON {a}id = {b}stadium_id "
+     "GROUP BY {a}id ORDER BY {a}name LIMIT 2", {"a": "stadium", "b": "concert"}),
+    ("{sel} {a}name FROM {A} JOIN {B} ON {a}id = {b}singer_id WHERE {b}concert_id = 1",
+     {"a": "singer", "b": "singer_in_concert"}),
+    ("{sel} AVG({a}age) FROM {A} WHERE {a}id IN "
+     "(SELECT {b}singer_id FROM {B} WHERE {b}sales > 1.0)", {"a": "singer", "b": "album"}),
+]
+# (old, new): a change of a literal, a number, an ORDER BY direction or a LIMIT
+PROGRAM_CHANGES = [
+    ("'FR'", "'fr'"), ("> 20", "> 21"), (">= 1.5", ">= 2.5"), ("= 1", "= 2"),
+    ("DESC", "ASC"), ("ORDER BY {a}title", "ORDER BY {a}title DESC"),
+    ("LIMIT 2", "LIMIT 3"), (" LIMIT 2", ""),
+]
+
+
+@st.composite
+def _spelling(draw, tables):
+    """Format fields for a template of PROGRAM_TEMPLATES."""
+    fields = {"sel": draw(st.sampled_from(["SELECT", "SELECT ALL"]))}
+    for slot, table in tables.items():
+        written_as = draw(st.sampled_from(["", " ", " AS "]))
+        name = slot + "1" if written_as else table
+        fields[slot.upper()] = table + written_as + name if written_as else table
+        fields[slot] = draw(st.sampled_from([name + "."] if len(tables) > 1
+                                            else [name + ".", ""]))
+    return fields
+
+
+def program_of(db_file, text):
+    with contextlib.closing(connect_readonly(db_file)) as connection:
+        return program(connection, SqlQuery(text))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_respellings_compile_to_one_program_with_one_outcome(fixture_db, data):
+    template, tables = data.draw(st.sampled_from(PROGRAM_TEMPLATES), label="template")
+    a, b = (data.draw(_respelled(template.format(**data.draw(_spelling(tables)))),
+                      label=side) for side in "ab")
+    assert program_of(fixture_db, a) == program_of(fixture_db, b) is not None
+    outcomes = [execute_once(fixture_db, SqlQuery(text)) for text in (a, b)]
+    assert outcomes[0].status == "success"
+    assert len({(o.status, repr(o.rows), o.column_count) for o in outcomes}) == 1
+
+
+def _plain_fields(tables):
+    return {"sel": "SELECT", **{slot: table + "." for slot, table in tables.items()},
+            **{slot.upper(): table for slot, table in tables.items()}}
+
+
+def test_queries_with_one_program_have_one_outcome(fixture_db):
+    by_program = {}
+    for text in FIXTURE_QUERIES + [t.format(**_plain_fields(tables))
+                                   for t, tables in PROGRAM_TEMPLATES]:
+        key = program_of(fixture_db, text)
+        if key is not None:
+            by_program.setdefault(key, []).append(text)
+    for texts in by_program.values():
+        outcomes = {(o.status, repr(o.rows), o.column_count) for o in
+                    (execute_once(fixture_db, SqlQuery(text)) for text in texts)}
+        assert len(outcomes) == 1, texts
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_changed_literal_order_or_limit_changes_the_program(fixture_db, data):
+    template, tables, (old, new) = data.draw(st.sampled_from([
+        (t, tables, change) for t, tables in PROGRAM_TEMPLATES
+        for change in PROGRAM_CHANGES if change[0] in t]), label="change")
+    fields = data.draw(_spelling(tables), label="spelling")
+    query = data.draw(_respelled(template.format(**fields)), label="query")
+    changed = data.draw(_respelled(template.replace(old, new).format(**fields)),
+                        label="changed")
+    assert program_of(fixture_db, query) != program_of(fixture_db, changed)
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT name FROM singer WHERE name = '\ud800'",
+    "SELECT name FROM singer; SELECT 1",
+    "SELECT nme FROM singer",
+    "SELECT name FROM",
+])
+def test_text_that_does_not_compile_has_no_program(fixture_db, text):
+    assert program_of(fixture_db, text) is None
 
 
 def test_compare_failures_never_match():
