@@ -10,6 +10,7 @@ import json
 import re
 import sqlite3
 import threading
+import time
 import weakref
 from dataclasses import dataclass, field
 from importlib import resources
@@ -210,11 +211,15 @@ def _complete(gateway, role, messages):
 
 def _call(gateway, trace, template: PromptTemplate, bindings: dict,
           parse, failure_hint: str):
-    """Render, call, record, parse; one format re-ask on parse failure."""
+    """Render, call, record, parse; one format re-ask on parse failure. Each
+    stage record's ``wall_time`` is the wall time of its gateway call, a
+    replay hit's too."""
     user_text = template.render(**bindings)
     messages = [("system", template.system_text), ("user", user_text)]
+    started = time.perf_counter()
     response, model_id = _complete(gateway, template.role, messages)
-    trace.add_stage(template.role, user_text, response, model_id)
+    trace.add_stage(template.role, user_text, response, model_id,
+                    time.perf_counter() - started)
     try:
         return parse(response.content)
     except Exception as exc:
@@ -223,8 +228,10 @@ def _call(gateway, trace, template: PromptTemplate, bindings: dict,
         ("assistant", response.content),
         ("user", f"{FORMAT_REMINDER} ({failure_hint})"),
     ]
+    started = time.perf_counter()
     response2, model_id = _complete(gateway, template.role, retry_messages)
     trace.add_stage(template.role, retry_messages[-1][1], response2, model_id,
+                    time.perf_counter() - started,
                     warnings=[f"format re-ask after: {first_error}"])
     try:
         return parse(response2.content)

@@ -19,7 +19,7 @@ from decimal import Decimal, ROUND_HALF_UP
 
 from . import jsonl
 from .execution import canonical_sql, connect_readonly
-from .pipeline import append_trace, gold_sql, run_pipeline
+from .pipeline import OutcomeMemo, append_trace, gold_sql, run_pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -174,16 +174,14 @@ def _crash_row(sample) -> SampleRow:
     )
 
 
-def _run_one(sample, schema, connection, config, gateway, prices, outcomes,
-             gold_key) -> tuple:
+def _run_one(sample, schema, connection, config, gateway, prices, memo) -> tuple:
     """(SampleRow, PipelineResult) for one sample; the result is None when
-    the sample crashed. ``gold_key`` is ``_gold_key`` of the sample's gold
-    query."""
+    the sample crashed. ``memo`` is the OutcomeMemo of the sample's group."""
     try:
         result = run_pipeline(
             sample.question, schema, connection, config, gateway,
             gold_query=sample.gold_query, sample_id=str(sample.index),
-            outcomes=outcomes,
+            memo=memo,
         )
     except Exception:  # per-sample isolation: score and continue
         return _crash_row(sample), None
@@ -198,7 +196,7 @@ def _run_one(sample, schema, connection, config, gateway, prices, outcomes,
         tokens=result.trace.total_tokens,
         cost=round(_row_cost(result.trace, prices), 8),
         stage_error=result.trace.status == "stage_error",
-        exact_match=bool(final_sql) and canonical_sql(final_sql) == gold_key,
+        exact_match=bool(final_sql) and canonical_sql(final_sql) == memo.gold_form,
     )
     return row, result
 
@@ -223,21 +221,21 @@ def _read_checkpoint(path) -> dict:
 
 
 class _SplitRuns:
-    """Hands out groups to ``workers`` workers: the groups, in database
-    order, are split into one contiguous run per worker. Worker i takes its
-    groups from the front of run i; when that run is empty it takes them
-    from the far end of the longest run left, and keeps to that run until it
-    is empty too. So each worker walks through one database at a time."""
+    """Hands out items to ``workers`` workers: the items, in order, are
+    split into one contiguous run per worker. Worker i takes its items from
+    the front of run i; when that run is empty it takes them from the far
+    end of the longest run left, and keeps to that run until it is empty
+    too. So each worker walks through one slice of the order at a time."""
 
-    def __init__(self, groups, workers):
-        n = len(groups)
-        self._runs = [collections.deque(groups[i * n // workers:(i + 1) * n // workers])
+    def __init__(self, items, workers):
+        n = len(items)
+        self._runs = [collections.deque(items[i * n // workers:(i + 1) * n // workers])
                       for i in range(workers)]
         self._from_end = [None] * workers  # the run a worker takes from the far end of
         self._lock = threading.Lock()
 
     def take(self, worker):
-        """The next group for ``worker``; None when none is left."""
+        """The next item for ``worker``; None when none is left."""
         with self._lock:
             if self._runs[worker]:
                 return self._runs[worker].popleft()
@@ -252,39 +250,72 @@ class _SplitRuns:
                 run.clear()
 
 
+class _Group:
+    """The samples of one (database, gold) group that a run has to score,
+    and their shared OutcomeMemo from the start of the first of them to the
+    end of the last."""
+
+    def __init__(self, gold_key, size):
+        self.gold_key = gold_key
+        self._left = size  # samples not ended yet
+        self._memo = None
+        self._lock = threading.Lock()
+
+    def start(self) -> OutcomeMemo:
+        """The group's memo, made when its first sample starts."""
+        with self._lock:
+            if self._memo is None:
+                self._memo = OutcomeMemo(self.gold_key)
+            return self._memo
+
+    def end(self) -> None:
+        """One sample ended; the memo goes with the group's last one."""
+        with self._lock:
+            self._left -= 1
+            if not self._left:
+                self._memo = None
+
+
 def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
              checkpoint_path=None, trace_path=None, prices=None) -> RunReport:
     """Run the pipeline over a sample batch and report metrics.
 
     Samples that share a database and a gold query (paraphrased questions)
     form a group; two gold queries are the same when they have one
-    ``canonical_sql`` form as run_pipeline executes them. A group runs back
-    to back, in batch order, on one of the ``parallelism`` workers, and
-    keeps one outcome memo (see run_pipeline) from its start to its end: the
-    gold query and each distinct candidate that succeeds are executed once
-    per group, where texts with one ``canonical_sql`` form are one query.
-    The diagnostic ``exact_match`` compares the same forms. Groups are put
-    in database order (the order of each database's first sample), then in
-    order of their first sample, and that order is split into one
-    contiguous run per worker. Worker i starts at the front of run i; when
-    its run is empty, it takes groups from the far end of the longest run
-    left until that one is empty too. With two workers these are the two
-    ends of one list, so a slow group late in the order does not run alone
-    at the end of the batch.
+    ``canonical_sql`` form as run_pipeline executes them. Each group has one
+    OutcomeMemo (see run_pipeline), shared by every worker that runs one of
+    its samples: made when the group's first sample starts and dropped when
+    its last sample ends. So the gold query and each distinct candidate
+    that succeeds are executed once per group, where texts with one
+    ``canonical_sql`` form are one query, and a worker that needs a query
+    another worker is running waits for its outcome. The diagnostic
+    ``exact_match`` compares the same forms.
+
+    Samples are put in database order (the order of each database's first
+    sample), then in order of their group's first sample, then in batch
+    order, and that order is split into one contiguous run per worker.
+    Worker i starts at the front of run i, so a group's samples run back to
+    back on one worker; when its run is empty, it takes one sample at a
+    time from the far end of the longest run left until that one is empty
+    too. With two workers these are the two ends of one list, so the
+    workers share the batch's last group instead of one running it alone.
+    At most ``parallelism`` memos are alive at once, plus one for each
+    group that the split cuts in two.
 
     A worker runs its queries on one read-only connection while its next
-    group is on the same database, and closes it when it moves to another
-    database or runs out of groups, so at most ``parallelism`` connections
-    are open. The database files must not change during the run. When a
-    database cannot be opened, each sample of the group is logged and
-    scored as a crash, and the worker's next group tries again.
+    sample is on the same database, and closes it before it opens one on
+    another database or when it runs out of samples, so at most
+    ``parallelism`` connections are open. The database files must not
+    change during the run. When a database cannot be opened, the sample is
+    logged and scored as a crash, and the worker's next sample tries again.
 
     Resumable: rows already in the checkpoint file are not re-run, so an
-    interrupted batch picks up where it stopped. When a group ends, its
-    trace lines and then its checkpoint rows are written, one write each;
-    a group cut off before then runs again in full when the batch resumes.
-    The checkpoint and trace files are opened, and created if missing, when
-    the run starts, and closed before this returns.
+    interrupted batch picks up where it stopped. When a worker leaves a
+    group, the trace lines and then the checkpoint rows of the samples it
+    ran of that group are written, one write each; samples cut off before
+    then run again when the batch resumes. The checkpoint and trace files
+    are opened, and created if missing, when the run starts, and closed
+    before this returns.
     """
     prices = prices or {}
     done = _read_checkpoint(checkpoint_path)
@@ -293,7 +324,11 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
         if sample.index not in done:
             by_db.setdefault(sample.db_id, {}).setdefault(
                 _gold_key(sample.gold_query), []).append(sample)
-    pending = [(key, group) for groups in by_db.values() for key, group in groups.items()]
+    pending = []
+    for groups in by_db.values():
+        for key, group in groups.items():
+            shared = _Group(key, len(group))
+            pending += ((shared, sample) for sample in group)
     workers = max(1, min(parallelism, len(pending)))
     schedule = _SplitRuns(pending, workers)
 
@@ -301,8 +336,8 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     traces = jsonl.AppendLog(trace_path) if trace_path else None
 
     def log_group(ran):
-        """Writes the trace lines and then the checkpoint rows of a group's
-        (row, result) pairs, and returns its rows."""
+        """Writes the trace lines and then the checkpoint rows of (row,
+        result) pairs, and returns their rows."""
         if traces is not None:
             finished = [result.trace for _, result in ran if result is not None]
             if finished:
@@ -313,32 +348,38 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
         return rows
 
     def work(worker):
-        """Runs ``worker``'s groups until none is left; returns their rows."""
+        """Runs ``worker``'s samples until none is left; returns their rows."""
         rows = []
-        db_id = connection = None
+        ran = []  # (row, result) of the samples run of the current group
+        current = db_id = connection = None
         try:
             while True:
                 taken = schedule.take(worker)
+                group, sample = taken or (None, None)
+                if group is not current and ran:
+                    rows += log_group(ran)
+                    ran = []
                 if taken is None:
                     return rows
-                gold_key, group = taken
-                if group[0].db_id != db_id:
+                current = group
+                if sample.db_id != db_id:
                     if connection is not None:
                         connection.close()
                     db_id = connection = None
                     try:
-                        connection = connect_readonly(db_paths[group[0].db_id])
+                        connection = connect_readonly(db_paths[sample.db_id])
                     except OSError:
-                        rows += log_group([(_crash_row(s), None) for s in group])
+                        ran.append((_crash_row(sample), None))
+                        group.end()
                         continue
-                    db_id = group[0].db_id
-                outcomes = {}
-                rows += log_group([
-                    _run_one(sample, schemas[db_id], connection, config, gateway,
-                             prices, outcomes, gold_key)
-                    for sample in group])
+                    db_id = sample.db_id
+                try:
+                    ran.append(_run_one(sample, schemas[db_id], connection, config,
+                                        gateway, prices, group.start()))
+                finally:
+                    group.end()
         except BaseException:
-            schedule.clear()  # the other workers stop after their current group
+            schedule.clear()  # the other workers stop after their current sample
             raise
         finally:
             if connection is not None:

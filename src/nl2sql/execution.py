@@ -152,6 +152,29 @@ def _statement_start(sql: str):
     return None
 
 
+def _scan_unfenced_start(text: str):
+    """Where the first SELECT, WITH or VALUES of unfenced ``text`` outside
+    comments starts; None when there is none. Unfenced, SQL comes with
+    prose, whose apostrophes are not quotes."""
+    for match in _UNFENCED_START.finditer(text):
+        if match.lastgroup == "start":
+            return match.start()
+    return None
+
+
+def _unfenced_start(text: str):
+    """``_scan_unfenced_start(text)``, with the comment-aware scan run only
+    when a ``--`` or ``/*`` comes before the first keyword: a comment that
+    _UNFENCED_START matches starts with one of them."""
+    match = _STATEMENT_START.search(text)
+    if match is None:
+        return None
+    start = match.start()
+    if text.find("--", 0, start) < 0 and text.find("/*", 0, start) < 0:
+        return start
+    return _scan_unfenced_start(text)
+
+
 def sanitize(raw: str) -> SqlQuery:
     """Strip code fences, surrounding prose, and trailing semicolons; keep
     the first statement. Raises SanitizeError when no SQL is present."""
@@ -166,12 +189,7 @@ def sanitize(raw: str) -> SqlQuery:
             text = block
             break
     if start is None:
-        # Unfenced, SQL comes with prose, whose apostrophes are not quotes;
-        # comments before the statement are skipped.
-        for match in _UNFENCED_START.finditer(text):
-            if match.lastgroup == "start":
-                start = match.start()
-                break
+        start = _unfenced_start(text)
         if start is None:
             raise SanitizeError(f"no SQL statement found in: {raw.strip()[:120]!r}")
     text = text[start:]

@@ -81,7 +81,6 @@ class ChatResponse:
     content: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    latency: float = 0.0
     backend_tag: str = "scripted"
 
 
@@ -169,7 +168,6 @@ class ScriptedBackend:
             content=content,
             prompt_tokens=max(1, prompt_chars // 4),
             completion_tokens=max(1, len(content) // 4),
-            latency=0.0,
             backend_tag=self.tag,
         )
 
@@ -233,7 +231,6 @@ class ReplayBackend:
             content=record["content"],
             prompt_tokens=record["prompt_tokens"],
             completion_tokens=record["completion_tokens"],
-            latency=0.0,
             backend_tag=self.tag,
         )
 
@@ -320,7 +317,6 @@ class RemoteBackend:
             "max_tokens": request.max_output_tokens,
         }
         url = self.endpoint + "/v1/chat/completions"
-        started = time.monotonic()
         last_error = None
         for attempt in range(self.MAX_ATTEMPTS):
             if attempt:
@@ -372,7 +368,6 @@ class RemoteBackend:
                 content=content,
                 prompt_tokens=prompt_tokens,
                 completion_tokens=completion_tokens,
-                latency=time.monotonic() - started,
                 backend_tag=self.tag,
             )
         raise last_error or TransportError("remote call failed")

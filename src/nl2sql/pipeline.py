@@ -2,10 +2,12 @@
 bounded taxonomy-guided correction loop, with a complete per-sample trace.
 
 A single run is strictly sequential; many runs may proceed concurrently,
-sharing only immutable schema/taxonomy/config and the gateway.
+sharing only immutable schema/taxonomy/config, the gateway and, for the
+samples of one gold group, an OutcomeMemo.
 """
 
 import hashlib
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -32,10 +34,6 @@ TRIGGER_MODES = ("execution_error_only", "gold_mismatch")
 # are never compiled; on its large databases the costly queries take at
 # least 3.3 ms, and the queries of the product table about 1 ms.
 COSTLY_EXECUTE_CPU_S = 0.002
-# The memo key of its costly successes: a list of the (query, outcome)
-# pairs not compiled yet, and a dict from each compiled program to its
-# outcome. No text's canonical_sql form is equal to it.
-_COSTLY = ("costly successes",)
 
 
 @dataclass
@@ -70,7 +68,7 @@ class PipelineTrace:
     warnings: list = field(default_factory=list)
     status: str = "running"  # solved | exhausted | stage_error
 
-    def add_stage(self, role, prompt, response, model_id, warnings=None):
+    def add_stage(self, role, prompt, response, model_id, wall_time=0.0, warnings=None):
         self.stages.append(
             StageRecord(
                 role=role,
@@ -82,7 +80,7 @@ class PipelineTrace:
                 model_id=model_id,
                 prompt_tokens=response.prompt_tokens,
                 completion_tokens=response.completion_tokens,
-                wall_time=response.latency,
+                wall_time=wall_time,
                 warnings=list(warnings or []),
             )
         )
@@ -117,6 +115,83 @@ class PipelineResult:
     outcome: object  # ExecutionOutcome or None
     ea: bool | None
     trace: PipelineTrace
+
+
+class OutcomeMemo:
+    """ExecutionOutcomes of one gold group's queries on one database file,
+    by ``canonical_sql`` form, shared by the run_pipeline calls of the
+    group's samples on any thread and any connection to that file. One lock
+    guards it.
+
+    ``gold_form`` is the ``canonical_sql`` form of the gold query as
+    run_pipeline executes it (``gold_sql``). The gold's outcome is kept
+    whatever its status, a candidate's only when it succeeds. A form is run
+    by one caller at a time: a caller that finds its form running waits for
+    that run to end, then takes the kept outcome if it may (the gold any, a
+    candidate only a success) and otherwise runs the query itself.
+
+    A costly success (see ``COSTLY_EXECUTE_CPU_S``) is also kept by the
+    program SQLite compiles it to: it waits in ``_uncompiled`` until a
+    candidate misses by form, and then goes into ``_by_program``.
+    """
+
+    def __init__(self, gold_form=None):
+        self.gold_form = gold_form
+        self._cond = threading.Condition(threading.Lock())
+        self._outcomes = {}  # form -> kept outcome
+        self._running = set()  # forms a caller is running
+        self._uncompiled = []  # (query, outcome) of costly successes
+        self._by_program = {}  # compiled program -> costly success
+
+    def outcome(self, form, run, gold=False):
+        """The outcome for the query of ``form``: the kept one when the
+        caller may take it, otherwise the one ``run()`` returns, which is
+        kept when it succeeds or ``gold`` is set."""
+        with self._cond:
+            while True:
+                kept = self._outcomes.get(form)
+                if kept is not None and (gold or kept.status == "success"):
+                    return kept
+                if form not in self._running:
+                    break
+                self._cond.wait()
+            self._running.add(form)
+        outcome = None
+        try:
+            outcome = run()
+            return outcome
+        finally:
+            with self._cond:
+                self._running.discard(form)
+                if outcome is not None and (gold or outcome.status == "success"):
+                    self._outcomes[form] = outcome
+                self._cond.notify_all()
+
+    def add_costly(self, query, outcome, compiled=None):
+        """Keep the costly success ``outcome`` of ``query``, by ``compiled``
+        when its program is known already."""
+        with self._cond:
+            if compiled is None:
+                self._uncompiled.append((query, outcome))
+            else:
+                self._by_program[compiled] = outcome
+
+    def by_program(self, connection, query):
+        """(the program ``query`` compiles to on ``connection``, the costly
+        success kept for that program or None). Nothing is compiled, and
+        both are None, while no costly success is kept; each kept one is
+        compiled once."""
+        with self._cond:
+            if not (self._uncompiled or self._by_program):
+                return None, None
+            while self._uncompiled:  # a text that no longer compiles goes under None
+                stored, outcome = self._uncompiled.pop()
+                self._by_program.setdefault(program(connection, stored), outcome)
+        compiled = program(connection, query)
+        if compiled is None:
+            return None, None
+        with self._cond:
+            return compiled, self._by_program.get(compiled)
 
 
 def repeat_guard(previous_sqls, candidate_sql: str) -> bool:
@@ -156,7 +231,7 @@ def _feedback_text(outcome, ea, gold_present) -> str:
 
 def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
                  gold_query: str | None = None, sample_id: str = "",
-                 outcomes=None) -> PipelineResult:
+                 memo: OutcomeMemo | None = None) -> PipelineResult:
     """Run the full agent pipeline for one question.
 
     Stage order: schema_linking, subproblem, query_plan (unless skipped),
@@ -168,15 +243,21 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     Every query runs on ``connection``, from ``execution.connect_readonly``
     and owned by the caller, who closes it.
 
-    ``outcomes`` memoizes ExecutionOutcomes on that database by the
-    ``canonical_sql`` form of the query text, which two texts share only
-    when SQLite compiles them to the same program. A caller may pass the
-    same dict to later calls on the same database, which the database must
-    not change under. The gold query runs first unless the memo holds it,
-    and its outcome is kept whatever its status. A candidate is served from
-    the memo only when it holds a success for the candidate; otherwise the
-    candidate is executed, and kept if it succeeds, so a failed or
-    timed-out query that comes back runs again.
+    ``memo`` holds the ExecutionOutcomes of queries on the connection's
+    database file by their ``canonical_sql`` form, which two texts share
+    only when SQLite compiles them to the same program. A caller may pass
+    one OutcomeMemo, made with the gold's form, to every call for the
+    samples of one gold query on one database file, from any thread and on
+    any connection to that file, which must not change during the run. The
+    gold query runs first unless the memo holds it, and its outcome is kept
+    whatever its status. A candidate is served from the memo only when it
+    holds a success for the candidate; otherwise the candidate is executed,
+    and kept if it succeeds, so a failed or timed-out query that comes back
+    runs again. A query whose form another call is running waits for that
+    run (see OutcomeMemo). Without ``memo`` the memo lasts for this call
+    only. Each candidate text's form is computed once per call; it keys the
+    memo and sets ``AttemptRecord.repeat_of_earlier``, which equals
+    ``repeat_guard`` over the earlier attempts.
 
     A success whose ``execute`` call took at least ``COSTLY_EXECUTE_CPU_S``
     of this thread's CPU can also serve a candidate of another form that
@@ -184,22 +265,21 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     added or dropped, ``AS``, qualified columns, ``SELECT ALL``. A
     candidate is compiled only when it misses by form while the memo holds
     such a success, and each stored success at most once, so queries
-    cheaper than a compile never pay for one. This is sound: on one
-    connection, two texts with one program read the same rows, in the
-    same order and with the same column count, as long as the database
-    does not change, which the memo assumes already. Their column names
-    may differ, but an ExecutionOutcome holds none. So a served outcome is
-    the one executing the text would return. Without ``outcomes`` the memo
-    lasts for this call only.
+    cheaper than a compile never pay for one. This is sound: two texts with
+    one program read the same rows of one database file that does not
+    change during the run, in the same order and with the same column
+    count, whichever connection to that file compiled or ran them. Their
+    column names may differ, but an ExecutionOutcome holds none. So a
+    served outcome is the one executing the text would return.
     """
     if config.correction_trigger == "gold_mismatch" and not gold_query:
         raise ValueError("gold_mismatch trigger requires a gold query")
     taxonomy = default_taxonomy()
     templates = config.templates
     trace = PipelineTrace(sample_id=sample_id or question[:48])
-    if outcomes is None:
-        outcomes = {}
-    uncompiled, by_program = outcomes.setdefault(_COSTLY, ([], {}))
+    gold = gold_sql(gold_query) if gold_query else None
+    if memo is None:
+        memo = OutcomeMemo(None if gold is None else canonical_sql(gold.text))
 
     def run(query, compiled=None):
         """Executes ``query``; a costly success is kept for matching by its
@@ -211,20 +291,13 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
         if (outcome.status == "success"
                 and time.perf_counter() - started >= COSTLY_EXECUTE_CPU_S
                 and time.thread_time() - started_cpu >= COSTLY_EXECUTE_CPU_S):
-            if compiled is None:
-                uncompiled.append((query, outcome))
-            else:
-                by_program[compiled] = outcome
+            memo.add_costly(query, outcome, compiled)
         return outcome
 
     order_sensitive = False
     gold_outcome = None
-    if gold_query:
-        gold = gold_sql(gold_query)
-        key = canonical_sql(gold.text)
-        gold_outcome = outcomes.get(key)
-        if gold_outcome is None:
-            gold_outcome = outcomes[key] = run(gold)
+    if gold is not None:
+        gold_outcome = memo.outcome(memo.gold_form, lambda: run(gold), gold=True)
         order_sensitive = has_top_level_order_by(gold)
 
     def verdict(outcome):
@@ -258,6 +331,8 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
         trace.add_warning(str(exc))
         return PipelineResult(None, None, None, trace)
 
+    forms = {}  # the canonical_sql form of each candidate text so far
+
     def attempt(raw_text):
         """Sanitize + execute one candidate; returns (query, outcome, ea)."""
         try:
@@ -267,21 +342,16 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
                 AttemptRecord(sql="", status="sanitize_error", message=str(exc))
             )
             return None, None, None
-        repeated = repeat_guard([a.sql for a in trace.attempts], query.text)
-        key = canonical_sql(query.text)
-        outcome = outcomes.get(key)
-        if outcome is None or outcome.status != "success":
-            outcome = compiled = None
-            if uncompiled or by_program:
-                while uncompiled:  # a text that no longer compiles goes under None
-                    stored, stored_outcome = uncompiled.pop()
-                    by_program.setdefault(program(connection, stored), stored_outcome)
-                compiled = program(connection, query)
-                outcome = by_program.get(compiled) if compiled is not None else None
-            if outcome is None:
-                outcome = run(query, compiled)
-            if outcome.status == "success":
-                outcomes[key] = outcome
+        seen = query.text in forms
+        form = forms[query.text] if seen else canonical_sql(query.text)
+        repeated = seen or form in forms.values()
+        forms[query.text] = form
+
+        def miss():
+            compiled, served = memo.by_program(connection, query)
+            return served if served is not None else run(query, compiled)
+
+        outcome = memo.outcome(form, miss)
         ea = verdict(outcome)
         trace.attempts.append(
             AttemptRecord(

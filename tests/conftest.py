@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import sqlite3
+import sys
 import threading
 from collections import Counter
 
@@ -16,6 +17,12 @@ from nl2sql.pipeline import run_pipeline
 # where a test does not set its own count.
 settings.register_profile("ci", derandomize=True, max_examples=300, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+# TESTS_SHORT_SWITCH_INTERVAL=1: threads switch about every microsecond
+# instead of every 5 ms, so interleavings of the workers' shared state
+# (schedule, outcome memos, logs) that a benchmark run might hit happen here.
+if os.environ.get("TESTS_SHORT_SWITCH_INTERVAL"):
+    sys.setswitchinterval(1e-6)
 
 # Music-domain fixture database: 8 tables, small deterministic contents.
 FIXTURE_DDL = """

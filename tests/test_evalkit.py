@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import importlib
 import itertools
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from dataclasses import asdict
 
@@ -33,7 +35,15 @@ from nl2sql.evalkit import (
 )
 from nl2sql import pipeline
 from nl2sql.agents import load_default_templates
-from nl2sql.gateway import ChatResponse, Gateway, ModelRoute, RemoteBackend, ScriptedBackend
+from nl2sql.gateway import (
+    ChatResponse,
+    Gateway,
+    ModelRoute,
+    RemoteBackend,
+    ReplayBackend,
+    ScriptedBackend,
+    read_replay_log,
+)
 from nl2sql.jsonl import AppendLog
 from nl2sql.execution import ExecutionOutcome
 from nl2sql.pipeline import (
@@ -660,6 +670,15 @@ def test_memo_does_not_outlive_its_group(paired, executions, connections):
     assert connections["opened"] == 1  # the connection outlives the group
 
 
+def untimed(trace) -> dict:
+    """A trace record as JSON decodes it, without the stages' measured
+    ``wall_time``."""
+    record = json.loads(json.dumps(trace))
+    for stage in record["stages"]:
+        del stage["wall_time"]
+    return record
+
+
 def test_memo_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path):
     samples, schemas, db_paths = paired
     traces = tmp_path / "traces.jsonl"
@@ -672,7 +691,7 @@ def test_memo_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path):
                                   PipelineConfig(), question_keyed_gateway(PAIRED_SQL),
                                   gold_query=sample.gold_query,
                                   sample_id=str(sample.index))
-        assert records[str(sample.index)] == json.loads(json.dumps(asdict(alone.trace)))
+        assert untimed(records[str(sample.index)]) == untimed(asdict(alone.trace))
 
 
 @pytest.mark.parametrize("failed", [
@@ -735,13 +754,40 @@ def test_program_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path, monke
                                   PipelineConfig(), question_keyed_gateway(PAIRED_SQL_ALL),
                                   gold_query=sample.gold_query,
                                   sample_id=str(sample.index))
-        fresh[str(sample.index)] = json.loads(json.dumps(asdict(alone.trace)))
+        fresh[str(sample.index)] = untimed(asdict(alone.trace))
     monkeypatch.setattr(pipeline, "COSTLY_EXECUTE_CPU_S", 0.0)
     traces = tmp_path / "traces.jsonl"
     evaluate(samples, schemas, db_paths, PipelineConfig(),
              question_keyed_gateway(PAIRED_SQL_ALL), parallelism=1,
              trace_path=str(traces))
-    assert {t["sample_id"]: t for t in load_traces(str(traces))} == fresh
+    assert {t["sample_id"]: untimed(t) for t in load_traces(str(traces))} == fresh
+
+
+def test_replay_hits_record_their_wall_time(dataset, tmp_path):
+    samples, schemas, db_paths = dataset
+    cache_dir = tmp_path / "cache"
+
+    def run(name):
+        backend = ReplayBackend(QuestionKeyedBackend(SQL_BY_QUESTION, FIX_BY_QUESTION),
+                                cache_dir)
+        gateway = Gateway(backends={"t": backend},
+                          route=ModelRoute.uniform("t", "fixture-model"))
+        try:
+            report = evaluate(samples, schemas, db_paths, PipelineConfig(), gateway,
+                              parallelism=2, trace_path=str(tmp_path / f"{name}.jsonl"))
+        finally:
+            backend.close()
+        write_report(report, tmp_path / name)
+        return (tmp_path / name / "report.json").read_bytes()
+
+    cold = run("cold")
+    entries = len(read_replay_log(cache_dir))
+    warm = run("warm")
+    assert len(read_replay_log(cache_dir)) == entries  # every call a replay hit
+    stages = [stage for trace in load_traces(str(tmp_path / "warm.jsonl"))
+              for stage in trace["stages"]]
+    assert stages and all(stage["wall_time"] > 0 for stage in stages)
+    assert warm == cold
 
 
 def test_nothing_is_compiled_at_the_default_gate(paired, executions, compiles):
@@ -1049,10 +1095,6 @@ def test_split_runs_schedule(workers):
             assert taken[1] == ends[::-1][:len(taken[1])]
 
 
-# first sample of each group of ``two_databases``, in database order
-TWO_DATABASE_GROUPS = [0, 4, 10, 12, 1, 3, 5, 7]
-
-
 @pytest.mark.parametrize("parallelism", [1, 2, 3, 4])
 def test_split_run_schedule_in_evaluate(two_databases, sessions, connections,
                                         monkeypatch, tmp_path, parallelism):
@@ -1061,15 +1103,15 @@ def test_split_run_schedule_in_evaluate(two_databases, sessions, connections,
     started = set()
     run_one = evalkit._run_one
 
-    def first_groups_taken_together(sample, *args):
-        # every worker has taken its first group before any finishes one,
-        # so none can have taken another worker's first group
+    def first_samples_taken_together(sample, *args):
+        # every worker has taken its first sample before any finishes one,
+        # so none can have taken another worker's first sample
         if threading.get_ident() not in started:
             started.add(threading.get_ident())
             barrier.wait()
         return run_one(sample, *args)
 
-    monkeypatch.setattr(evalkit, "_run_one", first_groups_taken_together)
+    monkeypatch.setattr(evalkit, "_run_one", first_samples_taken_together)
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
                       question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
     write_report(report, tmp_path)
@@ -1079,14 +1121,85 @@ def test_split_run_schedule_in_evaluate(two_databases, sessions, connections,
     _, ran = sessions
     assert sorted(s.index for order in ran.values() for s, _ in order) \
         == list(range(len(samples)))
-    n = len(TWO_DATABASE_GROUPS)
+    n = len(TWO_DATABASE_ORDER)
     assert {order[0][0].index for order in ran.values()} \
-        == {TWO_DATABASE_GROUPS[i * n // parallelism] for i in range(parallelism)}
+        == {TWO_DATABASE_ORDER[i * n // parallelism] for i in range(parallelism)}
     for order in ran.values():
         runs = sum(i == 0 or sample.db_id != order[i - 1][0].db_id
                    for i, (sample, _) in enumerate(order))
         assert len({id(connection) for _, connection in order}) == runs
     assert connections["peak"] <= parallelism
+
+
+# --- one outcome memo per group, shared by the workers --------------------------
+
+@pytest.mark.parametrize("parallelism", [2, 4])
+def test_idle_worker_takes_the_unstarted_sample_of_a_running_group(
+        tmp_path, fixture_tables_file, db_root, gold_runs, monkeypatch, parallelism):
+    """One group of two samples per worker, so each run is one group; the
+    worker of group 0 holds its first sample until another worker, its own
+    run done, has taken the second."""
+    tables = ("singer", "concert", "stadium", "album")[:parallelism]
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([
+        {"question": f"How many {table} rows are there ({j})?",
+         "query": f"SELECT COUNT(*) FROM {table}", "db_id": "music"}
+        for table in tables for j in range(2)]))
+    samples, schemas, db_paths = load_dataset(str(path), fixture_tables_file, db_root)
+    taken = threading.Event()
+    ran = {}  # sample index -> (thread, memo)
+    run_one = evalkit._run_one
+
+    def held_until_stolen(sample, *args):
+        ran[sample.index] = (threading.get_ident(), args[-1])
+        if sample.index == 1:
+            taken.set()
+        elif sample.index == 0 and not taken.wait(timeout=30):
+            raise AssertionError("no worker took sample 1")
+        return run_one(sample, *args)
+
+    monkeypatch.setattr(evalkit, "_run_one", held_until_stolen)
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway({s.question: s.gold_query.lower()
+                                              for s in samples}),
+                      parallelism=parallelism)
+    assert [r.ea for r in report.rows] == [True] * len(samples)
+    (thread0, memo0), (thread1, memo1) = ran[0], ran[1]
+    assert thread0 != thread1 and memo0 is memo1
+    assert gold_runs == {f"SELECT COUNT(*) FROM {table}": 1 for table in tables}
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 4])
+def test_memos_live_from_a_groups_first_sample_to_its_last(two_databases, monkeypatch,
+                                                           parallelism):
+    samples, schemas, db_paths = two_databases
+    live = weakref.WeakSet()
+    peak = []
+
+    class Tracked(evalkit.OutcomeMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+            peak.append(len(live))
+
+    monkeypatch.setattr(evalkit, "OutcomeMemo", Tracked)
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
+    assert [r.ea for r in report.rows] == PAIRED_EA * 2
+    gc.collect()
+    assert len(live) == 0
+    assert len(peak) == len({(s.db_id, evalkit._gold_key(s.gold_query)) for s in samples})
+    # one memo per worker, and one more for each group the split into runs
+    # cuts in two: its other part may wait for a worker still busy elsewhere
+    by_index = {s.index: (s.db_id, evalkit._gold_key(s.gold_query)) for s in samples}
+    n = len(TWO_DATABASE_ORDER)
+    runs = [TWO_DATABASE_ORDER[i * n // parallelism:(i + 1) * n // parallelism]
+            for i in range(parallelism)]
+    cut = {group for group in by_index.values()
+           if sum(any(by_index[i] == group for i in run) for run in runs) > 1}
+    assert max(peak) <= parallelism + len(cut)
+    if parallelism != 3:
+        assert not cut  # so at most one memo per worker
 
 
 def test_group_connection_closed_when_a_sample_crashes(paired, connections, caplog):

@@ -4,11 +4,13 @@ import sqlite3
 import threading
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from nl2sql import execution
 from nl2sql.execution import (
     ExecutionOutcome,
     SanitizeError,
@@ -104,6 +106,32 @@ def test_sanitize_rejects(raw):
 ])
 def test_unfenced_reply_skips_comments_before_its_statement(raw):
     assert sanitize(raw).text == "SELECT name FROM singer"
+
+
+# Unfenced text made of the pieces the statement-start scan reads: keywords
+# (one inside a longer word), comment openers and closers, apostrophes and
+# line breaks.
+_unfenced_text = st.lists(st.sampled_from([
+    "SELECT", "with", "Values", "selected", "name", "--", "-", "/*", "*/", "*", "/",
+    "'", "\n", " ", "\t", ";", "x",
+])).map("".join)
+
+
+def _sanitized(text):
+    """``sanitize(text)``'s text, or the message of the SanitizeError it raises."""
+    try:
+        return sanitize(text).text
+    except SanitizeError as exc:
+        return ("SanitizeError", str(exc))
+
+
+@given(_unfenced_text)
+@settings(max_examples=500)
+def test_unfenced_start_fast_path_equals_the_comment_aware_scan(text):
+    assert execution._unfenced_start(text) == execution._scan_unfenced_start(text)
+    fast = _sanitized(text)
+    with mock.patch.object(execution, "_unfenced_start", execution._scan_unfenced_start):
+        assert _sanitized(text) == fast
 
 
 def test_sanitize_empty_input():

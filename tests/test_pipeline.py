@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 from dataclasses import asdict
 
 import pytest
@@ -239,6 +240,59 @@ def test_repeat_guard_rules():
     assert not repeat_guard(["SELECT a FROM t WHERE b = 'x'"], "SELECT a FROM t WHERE b = 'X'")
     assert not repeat_guard(["SELECT a FROM t"], "SELECT b FROM t")
     assert not repeat_guard([], "SELECT a FROM t")
+
+
+class _SignallingCondition(threading.Condition):
+    """A condition that sets ``waiting`` each time a thread waits on it."""
+
+    def __init__(self):
+        super().__init__(threading.Lock())
+        self.waiting = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
+
+
+@pytest.mark.parametrize("failed", [
+    ExecutionOutcome.failure("missing_entity", "no such column: nope"),
+    ExecutionOutcome.timeout(),
+])
+@pytest.mark.parametrize("gold", [False, True])
+def test_a_waiter_on_a_failed_run_runs_a_candidate_again_and_takes_the_gold(failed, gold):
+    memo = pipeline.OutcomeMemo("select nope from singer")
+    memo._cond = cond = _SignallingCondition()
+    running, release = threading.Event(), threading.Event()
+    fixed = ExecutionOutcome.success([(6,)], 1)
+    got, runs = {}, []
+
+    def first_run():
+        running.set()
+        if not release.wait(timeout=30):
+            raise AssertionError("not released")
+        return failed
+
+    def first():
+        got["first"] = memo.outcome("select nope from singer", first_run, gold=gold)
+
+    thread = threading.Thread(target=first)
+    thread.start()
+    assert running.wait(timeout=30)
+    waiter = threading.Thread(target=lambda: got.setdefault(
+        "waiter", memo.outcome("select nope from singer",
+                               lambda: runs.append(1) or fixed, gold=gold)))
+    waiter.start()
+    assert cond.waiting.wait(timeout=30)  # the waiter found the form running
+    release.set()
+    for t in (thread, waiter):
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert got["first"] is failed
+    if gold:  # a gold's outcome is kept and served whatever its status
+        assert runs == [] and got["waiter"] is failed
+    else:  # a candidate's failure is not kept: the waiter runs it itself
+        assert runs == [1] and got["waiter"] is fixed
+        assert memo.outcome("select nope from singer", lambda: None) is fixed
 
 
 def test_stage_records_match_gateway_calls(music_schema, fixture_db):
