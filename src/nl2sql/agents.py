@@ -57,20 +57,23 @@ class PromptTemplate:
     role: str
     system_text: str
     user_template: str
+    # the user template split at its placeholders: text, name, text, ...
+    _segments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        unknown = set(_PLACEHOLDER_RE.findall(self.user_template)) - PLACEHOLDERS
+        segments = tuple(_PLACEHOLDER_RE.split(self.user_template))
+        unknown = set(segments[1::2]) - PLACEHOLDERS
         if unknown:
             raise ValueError(f"{self.role}: unknown placeholders {sorted(unknown)}")
+        object.__setattr__(self, "_segments", segments)
 
     def render(self, **bindings) -> str:
-        def repl(match):
-            name = match.group(1)
-            if name not in bindings:
-                raise KeyError(f"{self.role}: placeholder {{{name}}} not bound")
-            return str(bindings[name])
-
-        return _PLACEHOLDER_RE.sub(repl, self.user_template)
+        parts = list(self._segments)
+        try:
+            parts[1::2] = [str(bindings[name]) for name in parts[1::2]]
+        except KeyError as exc:
+            raise KeyError(f"{self.role}: placeholder {{{exc.args[0]}}} not bound") from None
+        return "".join(parts)
 
 
 @dataclass

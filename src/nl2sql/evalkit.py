@@ -408,6 +408,12 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     return RunReport(rows=rows, aggregates=compute_metrics(rows))
 
 
+# A row's fields are scalars, so with the separators indent=2 puts inside an
+# object nested two deep the C encoder writes a row as indent=2 does.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
+                                separators=(",\n      ", ": "))
+
+
 def write_report(report: RunReport, out_dir) -> dict:
     """Emit report.json (full fidelity), per_sample.csv, and summary.txt.
 
@@ -423,9 +429,12 @@ def write_report(report: RunReport, out_dir) -> dict:
     # A lone surrogate, which no encoding can write, goes out as its \uXXXX
     # escape: in report.json that is the JSON escape of the same character.
     with open(paths["json"], "w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.write(json.dumps({"aggregates": report.aggregates,
-                             "rows": [vars(r) for r in report.rows]},
-                            indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+        # json.dumps({"aggregates": ..., "rows": [vars(r), ...]}, indent=2, ...)
+        aggregates = json.dumps(report.aggregates, indent=2, sort_keys=True, ensure_ascii=False)
+        rows = ",\n".join(["    {\n      " + _ROW_ENCODER.encode(vars(r))[1:-1] + "\n    }"
+                           for r in report.rows])
+        fh.write('{\n  "aggregates": ' + aggregates.replace("\n", "\n  ") + ',\n  "rows": '
+                 + (f"[\n{rows}\n  ]" if rows else "[]") + "\n}\n")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import queue
 import random
 import threading
 import time
@@ -31,6 +32,8 @@ AGENT_ROLES = (
 )
 
 VALID_MESSAGE_ROLES = ("system", "user", "assistant")
+
+_encode_str = json.encoder.encode_basestring  # a str as JSON, non-ASCII kept
 
 
 class GatewayError(Exception):
@@ -69,9 +72,11 @@ class ChatRequest:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens <= 0:
             raise ValueError("max_output_tokens must be positive")
-        for role, _ in self.messages:
+        for role, content in self.messages:
             if role not in VALID_MESSAGE_ROLES:
                 raise ValueError(f"unknown message role {role!r}")
+            if not isinstance(content, str):
+                raise ValueError(f"message content must be str, not {type(content).__name__}")
         if self.messages[0][0] not in ("system", "user"):
             raise ValueError("first message must be system or user")
 
@@ -126,9 +131,9 @@ def cache_key(request: ChatRequest) -> str:
     (role, content), *rest = request.messages
     digest = _key_head(request.model_id, round(request.temperature, 6),
                        role, content).copy()
-    tail = json.dumps([[r, c] for r, c in rest], ensure_ascii=False,
-                      separators=(",", ":"))[1:]  # "]" when there is no rest
-    digest.update((("," if rest else "") + tail + "]").encode("utf-8", "surrogatepass"))
+    # the rest of the array: each later message as json.dumps writes it
+    tail = "".join([f",[{_encode_str(r)},{_encode_str(c)}]" for r, c in rest])
+    digest.update((tail + "]]").encode("utf-8", "surrogatepass"))
     return digest.hexdigest()
 
 
@@ -377,8 +382,9 @@ class RemoteBackend:
 class Gateway:
     """Route-aware facade the agents talk to.
 
-    A global in-flight semaphore bounds parallel backend calls across
-    concurrent samples.
+    At most ``max_in_flight`` backend calls run at once across concurrent
+    samples: a call takes one of ``max_in_flight`` tokens from a pool, or
+    waits for one, and puts it back when it ends.
     """
 
     backends: dict  # backend id -> backend object
@@ -388,7 +394,11 @@ class Gateway:
     max_in_flight: int = 4
 
     def __post_init__(self):
-        self._semaphore = threading.Semaphore(self.max_in_flight)
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be at least 1")
+        self._tokens = queue.SimpleQueue()
+        for _ in range(self.max_in_flight):
+            self._tokens.put(None)
 
     def complete_for_role(self, role: str, messages) -> tuple:
         """Returns (ChatResponse, model_id) for the routed backend."""
@@ -400,6 +410,9 @@ class Gateway:
             temperature=self.temperature,
             max_output_tokens=self.max_output_tokens,
         )
-        with self._semaphore:
+        self._tokens.get()
+        try:
             response = backend.complete(request, role)
+        finally:
+            self._tokens.put(None)
         return response, model_id

@@ -19,6 +19,10 @@ import weakref
 
 logger = logging.getLogger(__name__)
 
+# One encoder for every appended line. Records are trees the library
+# builds, so the circular-reference check is skipped.
+_ENCODER = json.JSONEncoder(ensure_ascii=True, sort_keys=True, check_circular=False)
+
 
 def read_records(path, parse, label) -> list:
     """``parse(value)`` for the JSON value on each line of ``path``, in file
@@ -101,8 +105,7 @@ class AppendLog:
     def extend(self, records) -> None:
         """Appends one line per record, all with one ``os.write`` (more
         only when the system writes less than asked); nothing for none."""
-        data = "".join(json.dumps(record, ensure_ascii=True, sort_keys=True) + "\n"
-                       for record in records).encode("ascii")
+        data = "".join([_ENCODER.encode(record) + "\n" for record in records]).encode("ascii")
         if not data:
             return
         with self._lock:

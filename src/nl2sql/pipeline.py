@@ -125,10 +125,11 @@ class OutcomeMemo:
 
     ``gold_form`` is the ``canonical_sql`` form of the gold query as
     run_pipeline executes it (``gold_sql``). The gold's outcome is kept
-    whatever its status, a candidate's only when it succeeds. A form is run
+    unless it timed out, a candidate's only when it succeeds. A form is run
     by one caller at a time: a caller that finds its form running waits for
-    that run to end, then takes the kept outcome if it may (the gold any, a
-    candidate only a success) and otherwise runs the query itself.
+    that run to end, then takes the kept outcome if it may (the gold a
+    success or a failure, a candidate only a success) and otherwise runs
+    the query itself.
 
     A costly success (see ``COSTLY_EXECUTE_CPU_S``) is also kept by the
     program SQLite compiles it to: it waits in ``_uncompiled`` until a
@@ -146,7 +147,8 @@ class OutcomeMemo:
     def outcome(self, form, run, gold=False):
         """The outcome for the query of ``form``: the kept one when the
         caller may take it, otherwise the one ``run()`` returns, which is
-        kept when it succeeds or ``gold`` is set."""
+        kept when it succeeds, or when ``gold`` is set and it did not time
+        out: a slow moment does not fail the rest of the group."""
         with self._cond:
             while True:
                 kept = self._outcomes.get(form)
@@ -163,7 +165,8 @@ class OutcomeMemo:
         finally:
             with self._cond:
                 self._running.discard(form)
-                if outcome is not None and (gold or outcome.status == "success"):
+                if outcome is not None and (outcome.status == "success" or (
+                        gold and outcome.status != "timeout")):
                     self._outcomes[form] = outcome
                 self._cond.notify_all()
 
@@ -192,17 +195,6 @@ class OutcomeMemo:
             return None, None
         with self._cond:
             return compiled, self._by_program.get(compiled)
-
-
-def repeat_guard(previous_sqls, candidate_sql: str) -> bool:
-    """True when the candidate has the ``canonical_sql`` form of a prior
-    attempt: the same query up to ASCII case outside quoted tokens,
-    whitespace and comments. The flag only marks the attempt: a flagged
-    candidate is executed or served by run_pipeline's outcome memo like any
-    other, so a repeat of a failed or timed-out query runs again and can
-    succeed if that failure was transient."""
-    key = canonical_sql(candidate_sql)
-    return any(canonical_sql(p) == key for p in previous_sqls)
 
 
 def gold_sql(gold_query: str) -> SqlQuery:
@@ -250,14 +242,16 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     samples of one gold query on one database file, from any thread and on
     any connection to that file, which must not change during the run. The
     gold query runs first unless the memo holds it, and its outcome is kept
-    whatever its status. A candidate is served from the memo only when it
-    holds a success for the candidate; otherwise the candidate is executed,
-    and kept if it succeeds, so a failed or timed-out query that comes back
-    runs again. A query whose form another call is running waits for that
-    run (see OutcomeMemo). Without ``memo`` the memo lasts for this call
-    only. Each candidate text's form is computed once per call; it keys the
-    memo and sets ``AttemptRecord.repeat_of_earlier``, which equals
-    ``repeat_guard`` over the earlier attempts.
+    unless it timed out, so the next sample runs a timed-out gold again. A
+    candidate is served from the memo only when it holds a success for the
+    candidate; otherwise the candidate is executed, and kept if it
+    succeeds, so a failed or timed-out query that comes back runs again. A
+    query whose form another call is running waits for that run (see
+    OutcomeMemo). Without ``memo`` the memo lasts for this call only. Each
+    candidate text's form is computed once per call; it keys the memo and
+    sets ``AttemptRecord.repeat_of_earlier``: the candidate has the form of
+    an earlier attempt, the same query up to ASCII case outside quoted
+    tokens, whitespace and comments. The flag only marks the attempt.
 
     A success whose ``execute`` call took at least ``COSTLY_EXECUTE_CPU_S``
     of this thread's CPU can also serve a candidate of another form that

@@ -272,9 +272,7 @@ def introspect_database(db_file) -> DatabaseSchema:
                 tables.append(TableDef(name, tuple(cols), tuple(pks)))
                 for row in conn.execute(f'PRAGMA foreign_key_list("{name}")'):
                     _, _, dst_table, src_col, dst_col = row[0], row[1], row[2], row[3], row[4]
-                    if dst_col is None and conn.execute(
-                        f'PRAGMA table_info("{dst_table}")'
-                    ).fetchall():
+                    if dst_col is None:
                         # implicit reference to the target's primary key
                         target_pks = [
                             r[1]

@@ -6,6 +6,8 @@ from hypothesis import given
 
 from nl2sql.agents import (
     CLAUSE_KEYS,
+    PLACEHOLDERS,
+    _PLACEHOLDER_RE,
     ExtractionError,
     PromptTemplate,
     StageError,
@@ -119,6 +121,40 @@ def test_unbound_placeholder_raises():
     template = PromptTemplate("sql", "sys", "{question} {plan}")
     with pytest.raises(KeyError):
         template.render(question="q")
+
+
+def reference_render(template, **bindings):
+    """PromptTemplate.render as it was before templates were split once: one
+    regex substitution with a callback per placeholder."""
+    def repl(match):
+        name = match.group(1)
+        if name not in bindings:
+            raise KeyError(f"{template.role}: placeholder {{{name}}} not bound")
+        return str(bindings[name])
+
+    return _PLACEHOLDER_RE.sub(repl, template.user_template)
+
+
+_names = st.sampled_from(sorted(PLACEHOLDERS))
+_template_text = st.text(st.characters(exclude_categories=["Cs"])
+                         | st.sampled_from("{}_aqz\n"), max_size=10)
+_user_templates = st.lists(_template_text | _names.map("{{{}}}".format), max_size=8).map(
+    "".join).filter(lambda t: set(_PLACEHOLDER_RE.findall(t)) <= PLACEHOLDERS)
+
+
+@given(user_template=_user_templates,
+       bindings=st.dictionaries(_names, st.text(max_size=6)
+                                | _names.map("x{{{}}}y".format) | st.integers()))
+def test_render_equals_the_regex_substitution(user_template, bindings):
+    template = PromptTemplate("sql", "sys", user_template)
+    try:
+        expected = reference_render(template, **bindings)
+    except KeyError as exc:
+        with pytest.raises(KeyError) as raised:
+            template.render(**bindings)
+        assert raised.value.args == exc.args
+    else:  # a bound value that holds a placeholder stays as it is
+        assert template.render(**bindings) == expected
 
 
 # --- SQL-in-plan detection ------------------------------------------------------

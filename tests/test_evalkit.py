@@ -460,6 +460,28 @@ def test_write_report_json_equals_the_streamed_asdict_dump(rows, histogram, tmp_
     assert (tmp_path / "out" / "report.json").read_bytes() == streamed.read_bytes()
 
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _row_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_row_text, inner, max_size=3),
+    max_leaves=8)
+
+
+@given(records=st.lists(st.dictionaries(_row_text, _json_values, max_size=4), max_size=3))
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_append_log_lines_equal_the_dumps_reference(records, tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.unlink(missing_ok=True)
+    with AppendLog(path) as log:
+        log.extend(records)
+    # how each line was encoded before the log kept one encoder
+    expected = "".join(json.dumps(r, ensure_ascii=True, sort_keys=True) + "\n"
+                       for r in records)
+    if records:
+        assert path.read_bytes() == expected.encode("ascii")
+    else:  # nothing to write: the log is not even opened
+        assert not path.exists()
+
+
 def test_exact_match_diagnostic(dataset):
     samples, schemas, db_paths = dataset
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),

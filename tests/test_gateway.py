@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import queue
 import sys
 import threading
 import time
@@ -51,6 +52,12 @@ def test_request_invariants():
         make_request(messages=[("assistant", "hi")])
     with pytest.raises(ValueError):
         make_request(max_output_tokens=0)
+    with pytest.raises(ValueError):
+        make_request(messages=[("user", None)])
+    with pytest.raises(ValueError):
+        make_request(messages=[("user", "q"), ("assistant", b"a")])
+    with pytest.raises(ValueError):
+        make_request(messages=[(1, "q")])
 
 
 def test_cache_key_deterministic():
@@ -108,7 +115,10 @@ _key_text = st.text(max_size=12) | st.text(
 @given(model_id=st.sampled_from(["m1", "m\u00e9", "m\"1\\"]) | st.text(max_size=8),
        temperature=st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0, 10, allow_nan=False),
        first=st.tuples(st.sampled_from(["system", "user"]), _key_text),
-       rest=st.lists(st.tuples(st.sampled_from(VALID_MESSAGE_ROLES), _key_text), max_size=3))
+       rest=st.lists(st.tuples(st.sampled_from(VALID_MESSAGE_ROLES), _key_text), max_size=3)
+       # a format re-ask: the reply, then the reminder
+       | st.tuples(st.tuples(st.just("assistant"), _key_text),
+                   st.tuples(st.just("user"), _key_text)).map(list))
 def test_cache_key_matches_the_one_dump_reference(model_id, temperature, first, rest):
     request = make_request(model_id=model_id, temperature=temperature,
                            messages=[first, *rest])
@@ -391,6 +401,74 @@ def test_gateway_routes_role_to_backend():
     assert model_id == "fixture-model"
     assert response.content == "SELECT 1"
     assert backend.calls == 1
+
+
+def test_gateway_needs_one_call_in_flight():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_in_flight"):
+            Gateway(backends={}, route=ModelRoute.uniform("b", "m"), max_in_flight=bad)
+
+
+@pytest.mark.parametrize("limit", [1, 3])
+def test_calls_in_flight_never_exceed_max_in_flight(limit):
+    """limit + 2 threads call at once: the first ``limit`` calls meet inside
+    the backend at a barrier and hold there until the other two wait for a
+    token; no call is ever inside beside ``limit`` others."""
+    lock = threading.Lock()
+    counts = {"entered": 0, "inside": 0, "peak": 0}
+    all_in = threading.Barrier(limit + 1)  # the first calls and the test
+    release = threading.Event()
+    waiting = threading.Semaphore(0)  # released by each call that waits for a token
+
+    class Holding:
+        def complete(self, request, role=None):
+            with lock:
+                counts["entered"] += 1
+                counts["inside"] += 1
+                counts["peak"] = max(counts["peak"], counts["inside"])
+                first = counts["entered"] <= limit
+            if first:
+                all_in.wait(timeout=30)
+                release.wait(timeout=30)
+            with lock:
+                counts["inside"] -= 1
+            return ChatResponse(content="ok")
+
+    class Watched:
+        """The gateway's token pool, telling when a call waits for a token."""
+
+        def __init__(self, pool):
+            self.pool = pool
+            self.put = pool.put
+
+        def get(self):
+            try:
+                return self.pool.get_nowait()
+            except queue.Empty:
+                waiting.release()
+                return self.pool.get()
+
+    gateway = Gateway(backends={"b": Holding()}, route=ModelRoute.uniform("b", "m"),
+                      max_in_flight=limit)
+    gateway._tokens = Watched(gateway._tokens)
+    replies = []
+    threads = [threading.Thread(target=lambda: replies.append(
+        gateway.complete_for_role("sql", [("user", "q")])[0].content))
+        for _ in range(limit + 2)]
+    for thread in threads:
+        thread.start()
+    try:
+        all_in.wait(timeout=30)
+        assert waiting.acquire(timeout=30) and waiting.acquire(timeout=30)
+        with lock:
+            assert counts["inside"] == limit
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert replies == ["ok"] * (limit + 2)
+    assert counts["peak"] == limit
 
 
 def test_route_requires_all_roles():

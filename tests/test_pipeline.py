@@ -6,7 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from nl2sql import pipeline
-from nl2sql.execution import ExecutionOutcome, execute
+from nl2sql.execution import ExecutionOutcome, canonical_sql, execute
 from nl2sql.gateway import ChatResponse
 from nl2sql.jsonl import AppendLog
 from nl2sql.pipeline import (
@@ -14,7 +14,6 @@ from nl2sql.pipeline import (
     PipelineTrace,
     append_trace,
     load_traces,
-    repeat_guard,
 )
 
 from conftest import run_pipeline_once, scripted_gateway
@@ -232,14 +231,46 @@ def test_repeat_guard_flags_identical_resubmission(music_schema, fixture_db):
     assert result.trace.status == "exhausted"
 
 
-def test_repeat_guard_rules():
-    assert repeat_guard(["SELECT a FROM t"], "SELECT a FROM t")
-    assert repeat_guard(["SELECT a FROM t"], "SELECT  a\n FROM\tt")
-    assert repeat_guard(["SELECT a FROM t"], "select A from T -- again")
-    assert repeat_guard(["SELECT a FROM t"], "SELECT a /* same */ FROM t")
-    assert not repeat_guard(["SELECT a FROM t WHERE b = 'x'"], "SELECT a FROM t WHERE b = 'X'")
-    assert not repeat_guard(["SELECT a FROM t"], "SELECT b FROM t")
-    assert not repeat_guard([], "SELECT a FROM t")
+@pytest.mark.parametrize("earlier,candidate,repeated", [
+    ("SELECT a FROM t", "SELECT a FROM t", True),
+    ("SELECT a FROM t", "SELECT  a\n FROM\tt", True),
+    ("SELECT a FROM t", "select A from T -- again", True),
+    ("SELECT a FROM t", "SELECT a /* same */ FROM t", True),
+    ("SELECT a FROM t WHERE b = 'x'", "SELECT a FROM t WHERE b = 'X'", False),
+    ("SELECT a FROM t", "SELECT b FROM t", False),
+])
+def test_repeat_of_earlier_rules(music_schema, fixture_db, earlier, candidate, repeated):
+    """A repeat has the form of an earlier attempt: the same query up to
+    ASCII case outside quoted tokens, whitespace and comments. A first
+    attempt repeats nothing."""
+    gateway = scripted_gateway([earlier], correction_sql_responses=[candidate])
+    result = run(music_schema, fixture_db, gateway, max_correction_attempts=1)
+    assert [a.sql for a in result.trace.attempts] == [earlier, candidate]
+    assert [a.repeat_of_earlier for a in result.trace.attempts] == [False, repeated]
+
+
+def test_a_timed_out_gold_runs_again_for_the_groups_next_sample(music_schema, fixture_db,
+                                                               monkeypatch):
+    """A gold that timed out once is not kept: the group's next sample runs
+    the gold itself and is scored by that run, not failed by the timeout."""
+    candidate = "SELECT count(id) FROM singer"  # right, and not the gold's form
+    calls = []
+
+    def slow_once(connection, query, timeout=30.0):
+        calls.append(query.text)
+        if len(calls) == 1:
+            return ExecutionOutcome.timeout()
+        return execute(connection, query, timeout=timeout)
+
+    monkeypatch.setattr(pipeline, "execute", slow_once)
+    gateway = scripted_gateway([candidate, candidate])
+    memo = pipeline.OutcomeMemo(canonical_sql(GOLD))
+    config = PipelineConfig(skip_correction=True)
+    first, second = [run_pipeline_once(QUESTION, music_schema, fixture_db, config, gateway,
+                                       gold_query=GOLD, memo=memo) for _ in range(2)]
+    assert calls == [GOLD, candidate, GOLD]  # the candidate's success is kept
+    assert first.ea is False
+    assert second.ea is True and second.trace.status == "solved"
 
 
 class _SignallingCondition(threading.Condition):
@@ -288,11 +319,11 @@ def test_a_waiter_on_a_failed_run_runs_a_candidate_again_and_takes_the_gold(fail
         t.join(timeout=30)
         assert not t.is_alive()
     assert got["first"] is failed
-    if gold:  # a gold's outcome is kept and served whatever its status
+    if gold and failed.status == "failure":  # a gold's engine failure is kept
         assert runs == [] and got["waiter"] is failed
-    else:  # a candidate's failure is not kept: the waiter runs it itself
+    else:  # a candidate's failure or a gold's timeout is not: the waiter runs it
         assert runs == [1] and got["waiter"] is fixed
-        assert memo.outcome("select nope from singer", lambda: None) is fixed
+        assert memo.outcome("select nope from singer", lambda: None, gold=gold) is fixed
 
 
 def test_stage_records_match_gateway_calls(music_schema, fixture_db):

@@ -151,6 +151,23 @@ def test_introspect_foreign_key(tmp_path):
     assert schema.foreign_keys == (ForeignKey("child", "parent_id", "parent", "id"),)
 
 
+def test_introspect_implicit_foreign_key_targets(tmp_path):
+    """A reference without a column names the target's primary key; one to
+    a table without a primary key, or to no table, is left out."""
+    db = tmp_path / "implicit.sqlite"
+    conn = sqlite3.connect(str(db))
+    conn.executescript(
+        "CREATE TABLE parent (code TEXT, id INTEGER PRIMARY KEY);"
+        "CREATE TABLE keyless (x INTEGER);"
+        "CREATE TABLE child (id INTEGER PRIMARY KEY, parent_id INTEGER REFERENCES parent,"
+        " keyless_x INTEGER REFERENCES keyless, gone_id INTEGER REFERENCES gone);"
+    )
+    conn.commit()
+    conn.close()
+    schema = introspect_database(str(db))
+    assert schema.foreign_keys == (ForeignKey("child", "parent_id", "parent", "id"),)
+
+
 def test_introspect_empty_database(tmp_path):
     db = tmp_path / "empty.sqlite"
     sqlite3.connect(str(db)).close()
