@@ -30,6 +30,11 @@ CLAUSE_KEYS = (
 )
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
+_JSON_FENCE = re.compile(r"```[ \t]*(?:json|JSON)?\s*\n?(.*?)```", re.DOTALL)
+_STEP_MARKER = re.compile(r"^\s*(?:\d+[.)]\s*|[-*]\s*)")
+_STEP_LINE = re.compile(r"\s*(?:\d+[.)]\s+|[-*]\s+)(.+)")
+_STATEMENT_KEYWORD = re.compile(r"(SELECT|WITH|VALUES|INSERT|UPDATE|DELETE)\b", re.I)
+_NO_SUCH = re.compile(r"no such (table|column|function)")
 
 _DECODER = json.JSONDecoder()
 
@@ -149,13 +154,13 @@ def load_templates(directory) -> dict:
     return templates
 
 
-def extract_structured_payload(text: str) -> str:
-    """Return the first balanced JSON object/array in a chatty response,
+def structured_payload(text: str):
+    """The decoded first balanced JSON object/array in a chatty response,
     stripping code fences and surrounding prose."""
     if not text:
         raise ExtractionError("empty response")
     candidates = []
-    for block in re.findall(r"```[ \t]*(?:json|JSON)?\s*\n?(.*?)```", text, re.DOTALL):
+    for block in _JSON_FENCE.findall(text):
         candidates.append(block.strip())
     candidates.append(text)
     for candidate in candidates:
@@ -163,8 +168,7 @@ def extract_structured_payload(text: str) -> str:
             start = candidate.find(opener)
             while start != -1:
                 try:
-                    _, end = _DECODER.raw_decode(candidate, start)
-                    return candidate[start:end]
+                    return _DECODER.raw_decode(candidate, start)[0]
                 except json.JSONDecodeError:
                     start = candidate.find(opener, start + 1)
     raise ExtractionError("no balanced JSON payload found")
@@ -187,8 +191,8 @@ def looks_like_sql_statement(step: str) -> bool:
     """Permissive check whether a plan step is itself a complete SQL
     statement: it must start with a statement keyword and parse against an
     empty database (missing tables/columns still count as parsing)."""
-    stripped = re.sub(r"^\s*(?:\d+[.)]\s*|[-*]\s*)", "", step).strip().rstrip(";")
-    if not re.match(r"(SELECT|WITH|VALUES|INSERT|UPDATE|DELETE)\b", stripped, re.I):
+    stripped = _STEP_MARKER.sub("", step).strip().rstrip(";")
+    if not _STATEMENT_KEYWORD.match(stripped):
         return False
     try:
         database = _explain.database
@@ -198,7 +202,7 @@ def looks_like_sql_statement(step: str) -> bool:
         database.connection.execute("EXPLAIN " + stripped).close()
         return True
     except sqlite3.OperationalError as exc:
-        return bool(re.search(r"no such (table|column|function)", str(exc)))
+        return bool(_NO_SUCH.search(str(exc)))
     except sqlite3.Error:
         return False
 
@@ -249,7 +253,7 @@ def run_schema_linking(question, schema, gateway, trace, templates) -> LinkedSch
     warning; join edges without a declared FK are kept (warning severity)."""
 
     def parse(content):
-        payload = json.loads(extract_structured_payload(content))
+        payload = structured_payload(content)
         if not isinstance(payload, dict) or not isinstance(payload.get("tables"), dict):
             raise ValueError('expected a JSON object with a "tables" mapping')
         kept = {}
@@ -304,7 +308,7 @@ def run_subproblem(question, schema_text, gateway, trace, templates) -> Subprobl
     canonical = {k: k for k in CLAUSE_KEYS}
 
     def parse(content):
-        payload = json.loads(extract_structured_payload(content))
+        payload = structured_payload(content)
         if not isinstance(payload, dict):
             raise ValueError("expected a JSON object of clause: expression pairs")
         clauses = {}
@@ -359,18 +363,18 @@ def run_query_plan(question, schema_text, subproblems, gateway, trace,
 def _parse_steps(content: str):
     """Steps from a JSON {"steps": [...]} payload or numbered/bulleted lines."""
     try:
-        payload = json.loads(extract_structured_payload(content))
+        payload = structured_payload(content)
         if isinstance(payload, dict) and isinstance(payload.get("steps"), list):
             steps = [str(s).strip() for s in payload["steps"] if str(s).strip()]
             return steps, str(payload.get("rationale", ""))
         if isinstance(payload, list):
             return [str(s).strip() for s in payload if str(s).strip()], ""
-    except (ExtractionError, json.JSONDecodeError):
+    except ExtractionError:
         pass
     steps = []
     prose = []
     for line in content.splitlines():
-        match = re.match(r"\s*(?:\d+[.)]\s+|[-*]\s+)(.+)", line)
+        match = _STEP_LINE.match(line)
         if match:
             steps.append(match.group(1).strip())
         elif line.strip():

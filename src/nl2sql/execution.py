@@ -46,6 +46,8 @@ class ExecutionOutcome:
 
 _STATEMENT_START = re.compile(r"\b(SELECT|WITH|VALUES)\b", re.IGNORECASE)
 _ORDER_BY_OR_PAREN = re.compile(r"[()]|order[ \t\n\f\r]+by\b", re.IGNORECASE)
+# "order", then whitespace or a comment: "order by" in canonical_sql's form needs it
+_ORDER_THEN_SPACE = re.compile(r"order(?:[ \t\n\f\r]|--|/\*)", re.IGNORECASE)
 _FENCE = re.compile(r"```[ \t]*(?:sql|sqlite|SQL)?\s*\n?(.*?)```", re.DOTALL)
 # In unfenced text: a comment, -- at the start of a line or a closed /* */
 # anywhere, or a statement start. A -- inside a line of prose is a dash.
@@ -60,12 +62,13 @@ _SQL_TOKENS = frozenset(
     with values union intersect except distinct inner outer cross count avg
     sum min max asc desc exists null""".split()
 )
+_WORD = re.compile(r"[A-Za-z_]+")
 
 
 def _line_is_prose(line: str) -> bool:
     if any(ch in line for ch in "(),*=<>"):
         return False
-    words = re.findall(r"[A-Za-z_]+", line)
+    words = _WORD.findall(line)
     return not any(w.lower() in _SQL_TOKENS for w in words)
 
 
@@ -279,7 +282,8 @@ class _Deadlines:
     def _reset(self):
         # A forked child has none of the parent's threads, and its copy of
         # the lock may be held.
-        self._cond = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._armed = {}  # token -> (deadline, connection)
         self._tokens = itertools.count()
         self._wake = math.inf  # the thread's next wake; inf while idle
@@ -288,7 +292,7 @@ class _Deadlines:
     def arm(self, connection, deadline) -> int:
         """Interrupt ``connection`` at ``deadline`` (``time.monotonic``)
         unless disarmed first; returns the token for ``disarm``."""
-        with self._cond:
+        with self._lock:
             token = next(self._tokens)
             self._armed[token] = (deadline, connection)
             if self._thread is None:
@@ -301,11 +305,11 @@ class _Deadlines:
             return token
 
     def disarm(self, token) -> None:
-        with self._cond:
+        with self._lock:
             self._armed.pop(token, None)
 
     def _run(self):
-        with self._cond:
+        with self._lock:
             while True:
                 now = time.monotonic()
                 wake = math.inf
@@ -387,6 +391,8 @@ def program(connection, query: SqlQuery):
 def has_top_level_order_by(query: SqlQuery) -> bool:
     """True iff ORDER BY appears at the outermost statement level, outside
     subqueries, parenthesized set-operands, quoted tokens and comments."""
+    if not _ORDER_THEN_SPACE.search(query.text):  # so none in its canonical form
+        return False
     depth = 0
     for _, run in _code_runs(canonical_sql(query.text)):
         for match in _ORDER_BY_OR_PAREN.finditer(run):

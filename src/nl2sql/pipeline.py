@@ -121,7 +121,7 @@ class OutcomeMemo:
     """ExecutionOutcomes of one gold group's queries on one database file,
     by ``canonical_sql`` form, shared by the run_pipeline calls of the
     group's samples on any thread and any connection to that file. One lock
-    guards it.
+    guards it; a condition over that lock only waits and notifies.
 
     ``gold_form`` is the ``canonical_sql`` form of the gold query as
     run_pipeline executes it (``gold_sql``). The gold's outcome is kept
@@ -138,7 +138,8 @@ class OutcomeMemo:
 
     def __init__(self, gold_form=None):
         self.gold_form = gold_form
-        self._cond = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._outcomes = {}  # form -> kept outcome
         self._running = set()  # forms a caller is running
         self._uncompiled = []  # (query, outcome) of costly successes
@@ -149,7 +150,7 @@ class OutcomeMemo:
         caller may take it, otherwise the one ``run()`` returns, which is
         kept when it succeeds, or when ``gold`` is set and it did not time
         out: a slow moment does not fail the rest of the group."""
-        with self._cond:
+        with self._lock:
             while True:
                 kept = self._outcomes.get(form)
                 if kept is not None and (gold or kept.status == "success"):
@@ -163,7 +164,7 @@ class OutcomeMemo:
             outcome = run()
             return outcome
         finally:
-            with self._cond:
+            with self._lock:
                 self._running.discard(form)
                 if outcome is not None and (outcome.status == "success" or (
                         gold and outcome.status != "timeout")):
@@ -173,7 +174,7 @@ class OutcomeMemo:
     def add_costly(self, query, outcome, compiled=None):
         """Keep the costly success ``outcome`` of ``query``, by ``compiled``
         when its program is known already."""
-        with self._cond:
+        with self._lock:
             if compiled is None:
                 self._uncompiled.append((query, outcome))
             else:
@@ -184,7 +185,7 @@ class OutcomeMemo:
         success kept for that program or None). Nothing is compiled, and
         both are None, while no costly success is kept; each kept one is
         compiled once."""
-        with self._cond:
+        with self._lock:
             if not (self._uncompiled or self._by_program):
                 return None, None
             while self._uncompiled:  # a text that no longer compiles goes under None
@@ -193,7 +194,7 @@ class OutcomeMemo:
         compiled = program(connection, query)
         if compiled is None:
             return None, None
-        with self._cond:
+        with self._lock:
             return compiled, self._by_program.get(compiled)
 
 
@@ -229,8 +230,8 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     Stage order: schema_linking, subproblem, query_plan (unless skipped),
     sql, sanitize, execute; then correction rounds of correction_plan,
     correction_sql, sanitize, execute until the trigger stops firing, the
-    round budget is spent, or a round would resend the (failed SQL,
-    feedback) pair of an earlier round.
+    round budget is spent, or a round would resend an earlier round's
+    feedback on a failed query of the same ``canonical_sql`` form.
 
     Every query runs on ``connection``, from ``execution.connect_readonly``
     and owned by the caller, who closes it.
@@ -362,7 +363,7 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
 
     query, outcome, ea = attempt(raw_sql)
 
-    sent = set()  # (failed_sql, feedback) of every correction round so far
+    sent = set()  # (failed query's form, feedback) of every round so far
     while (
         trigger_fires(outcome, ea)
         and not config.skip_correction
@@ -370,9 +371,10 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     ):
         failed_sql = query.text if query else "(no executable SQL was produced)"
         feedback = _feedback_text(outcome, ea, gold_outcome is not None)
-        if (failed_sql, feedback) in sent:
-            break  # that prompt was sent already; its reply would repeat too
-        sent.add((failed_sql, feedback))
+        key = (forms[query.text] if query else None, feedback)
+        if key in sent:
+            break  # this query, as SQLite reads it, was sent with this feedback
+        sent.add(key)
         try:
             plan = agents.run_correction_plan(
                 question, schema_text, failed_sql, feedback, taxonomy,

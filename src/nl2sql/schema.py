@@ -48,17 +48,36 @@ class DatabaseSchema:
     foreign_keys: tuple = ()
 
     def table(self, name):
-        target = name.lower()
-        for t in self.tables:
-            if t.name.lower() == target:
-                return t
-        return None
+        entry = self._index.get(name.lower())
+        return None if entry is None else entry[0]
 
     def has_column(self, table, column):
-        t = self.table(table)
-        if t is None:
-            return False
-        return column.lower() in {c.lower() for c in t.column_names()}
+        entry = self._index.get(table.lower())
+        return entry is not None and column.lower() in entry[1]
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        """Lowercase table name -> (table, {lowercase column name: logical
+        type}, lowercase primary keys), built at its first use. The first
+        table and the first column of a name win."""
+        index = {}
+        for t in self.tables:
+            columns = {}
+            for cname, ctype in t.columns:
+                columns.setdefault(cname.lower(), ctype)
+            index.setdefault(t.name.lower(),
+                             (t, columns, {p.lower() for p in t.primary_keys}))
+        return index
+
+    @functools.cached_property
+    def _declared_joins(self) -> frozenset:
+        """The declared foreign keys as lowercase (table, column, table,
+        column), in both directions, built at its first use."""
+        declared = {
+            (fk.src_table.lower(), fk.src_column.lower(), fk.dst_table.lower(), fk.dst_column.lower())
+            for fk in self.foreign_keys
+        }
+        return frozenset(declared | {(dt, dc, st, sc) for st, sc, dt, dc in declared})
 
     @functools.cached_property
     def full_text(self) -> str:
@@ -326,20 +345,15 @@ def _render_full(schema: DatabaseSchema) -> str:
 
 def _render_linked(link: LinkedSchema, parent: DatabaseSchema | None) -> str:
     blocks = []
+    unknown = (None, {}, frozenset())  # a table the parent does not have
     for tname, cols in link.kept.items():
-        ptable = parent.table(tname) if parent else None
+        _, columns, primary_keys = parent._index.get(tname.lower(), unknown) if parent else unknown
         lines = [f"CREATE TABLE {tname} ("]
         body = []
         for cname in cols:
-            ctype = ""
-            marker = ""
-            if ptable is not None:
-                for pc, pt in ptable.columns:
-                    if pc.lower() == cname.lower():
-                        ctype = f" {pt}"
-                        break
-                if cname.lower() in {p.lower() for p in ptable.primary_keys}:
-                    marker = " PRIMARY KEY"
+            key = cname.lower()
+            ctype = f" {columns[key]}" if key in columns else ""
+            marker = " PRIMARY KEY" if key in primary_keys else ""
             body.append(f"  {cname}{ctype}{marker}")
         lines.append(",\n".join(body))
         lines.append(");")
@@ -364,19 +378,13 @@ def validate_linked_schema(parent: DatabaseSchema, link: LinkedSchema) -> list:
     if not link.kept:
         violations.append(Violation("empty-link", link.db_id))
     for tname, cols in link.kept.items():
-        table = parent.table(tname)
-        if table is None:
+        entry = parent._index.get(tname.lower())
+        if entry is None:
             violations.append(Violation("unknown-table", tname))
             continue
-        known = {c.lower() for c in table.column_names()}
         for cname in cols:
-            if cname.lower() not in known:
+            if cname.lower() not in entry[1]:
                 violations.append(Violation("unknown-column", f"{tname}.{cname}"))
-    declared = {
-        (fk.src_table.lower(), fk.src_column.lower(), fk.dst_table.lower(), fk.dst_column.lower())
-        for fk in parent.foreign_keys
-    }
-    declared |= {(dt, dc, st, sc) for st, sc, dt, dc in declared}
     for edge in link.join_edges:
         for tbl, col in ((edge.src_table, edge.src_column), (edge.dst_table, edge.dst_column)):
             if not parent.has_column(tbl, col):
@@ -389,7 +397,7 @@ def validate_linked_schema(parent: DatabaseSchema, link: LinkedSchema) -> list:
                 edge.dst_table.lower(),
                 edge.dst_column.lower(),
             )
-            if key not in declared:
+            if key not in parent._declared_joins:
                 violations.append(
                     Violation(
                         "non-fk-edge",

@@ -1,4 +1,5 @@
 import json
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -11,7 +12,6 @@ from nl2sql.agents import (
     ExtractionError,
     PromptTemplate,
     StageError,
-    extract_structured_payload,
     load_default_templates,
     looks_like_sql_statement,
     run_correction_plan,
@@ -20,6 +20,7 @@ from nl2sql.agents import (
     run_schema_linking,
     run_sql,
     run_subproblem,
+    structured_payload,
 )
 from nl2sql.pipeline import PipelineTrace
 from nl2sql.schema import render_schema_text
@@ -42,31 +43,31 @@ def trace():
 
 def test_extract_from_fenced_block():
     text = 'Here you go:\n```json\n{"a": 1}\n```'
-    assert json.loads(extract_structured_payload(text)) == {"a": 1}
+    assert structured_payload(text) == {"a": 1}
 
 
 def test_extract_bare_object_with_commentary():
     text = '{"a": [1, 2]} and that is my answer.'
-    assert json.loads(extract_structured_payload(text)) == {"a": [1, 2]}
+    assert structured_payload(text) == {"a": [1, 2]}
 
 
 def test_extract_prose_with_brace_in_string_literal_only():
     with pytest.raises(ExtractionError):
-        extract_structured_payload('I said "use { as a marker" and nothing more')
+        structured_payload('I said "use { as a marker" and nothing more')
 
 
 def test_extract_skips_invalid_then_finds_valid():
     text = "{not json} but later {\"ok\": true}"
-    assert json.loads(extract_structured_payload(text)) == {"ok": True}
+    assert structured_payload(text) == {"ok": True}
 
 
 def test_extract_array_payload():
-    assert json.loads(extract_structured_payload("steps: [1, 2, 3] done")) == [1, 2, 3]
+    assert structured_payload("steps: [1, 2, 3] done") == [1, 2, 3]
 
 
 def test_extract_nested_braces_in_strings():
     payload = '{"text": "a } inside", "n": 1}'
-    assert json.loads(extract_structured_payload("x " + payload)) == {
+    assert structured_payload("x " + payload) == {
         "text": "a } inside", "n": 1,
     }
 
@@ -87,7 +88,49 @@ _objects = st.dictionaries(
 @given(_plain, _objects | _arrays, _plain)
 def test_extract_embedded_payload_roundtrips(before, value, after):
     text = before + json.dumps(value) + after
-    assert json.loads(extract_structured_payload(text)) == value
+    assert structured_payload(text) == value
+
+
+def _old_extract(text):
+    """The payload text extract_structured_payload returned before
+    structured_payload handed back the value it had decoded already."""
+    if not text:
+        raise ExtractionError("empty response")
+    candidates = []
+    for block in re.findall(r"```[ \t]*(?:json|JSON)?\s*\n?(.*?)```", text, re.DOTALL):
+        candidates.append(block.strip())
+    candidates.append(text)
+    for candidate in candidates:
+        for opener in "{[":
+            start = candidate.find(opener)
+            while start != -1:
+                try:
+                    _, end = json.JSONDecoder().raw_decode(candidate, start)
+                    return candidate[start:end]
+                except json.JSONDecodeError:
+                    start = candidate.find(opener, start + 1)
+    raise ExtractionError("no balanced JSON payload found")
+
+
+# Chatty text around fenced, bare and broken payloads, with brackets nested
+# in strings and left unbalanced.
+_payload_pieces = st.sampled_from([
+    "Sure:", " ", "\n", "```", "```json\n", "```JSON", "{", "}", "[", "]", '"', ",", ":",
+    '{"a": 1}', '[1, [2, {"b": "]}"}]]', '{"t": "a } and { b", "n": [1, {}]}', '"x"', "1",
+    "true", "{not json}", "done.",
+])
+
+
+@given(st.lists(_payload_pieces | _plain, max_size=12).map("".join)
+       | (_plain | _objects.map(json.dumps)).map(lambda v: f"Here:\n```json\n{v}\n```"))
+def test_structured_payload_equals_the_loads_of_the_old_extract(text):
+    try:
+        expected = json.loads(_old_extract(text))
+    except ExtractionError:
+        with pytest.raises(ExtractionError):
+            structured_payload(text)
+    else:  # compared as JSON text, as a NaN is not equal to itself
+        assert json.dumps(structured_payload(text)) == json.dumps(expected)
 
 
 # --- templates ----------------------------------------------------------------

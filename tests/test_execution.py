@@ -437,6 +437,9 @@ def test_execute_canonicalizes_mixed_rows(tmp_path):
     ("SELECT name FROM singer -- the singer's name\nORDER BY name", True),
     ("SELECT [it's] FROM t ORDER BY 1", True),
     ("SELECT `it's` FROM t ORDER /* by what? */ BY 1", True),
+    ("SELECT a FROM t ORDER/* x */BY a", True),
+    ("SELECT a FROM t ORDER-- x\nBY a", True),
+    ("SELECT o.order_id FROM orders AS o", False),
 ])
 def test_has_top_level_order_by(sql, expected):
     assert has_top_level_order_by(SqlQuery(sql)) is expected
@@ -539,6 +542,49 @@ def test_literal_scan_callers_match_reference(text):
     assert _cut_at_statement_end(text) == _reference_cut_at_statement_end(text)
     assert has_top_level_order_by(SqlQuery(text)) is _reference_has_top_level_order_by(text)
     assert canonical_sql(text) == _reference_canonical_sql(text)
+
+
+def _old_has_top_level_order_by(text):
+    """has_top_level_order_by before it returned early for a text without
+    "order" and then whitespace or a comment."""
+    depth = 0
+    for _, run in execution._code_runs(canonical_sql(text)):
+        for match in execution._ORDER_BY_OR_PAREN.finditer(run):
+            token, i = match.group(), match.start()
+            if token == "(":
+                depth += 1
+            elif token == ")":
+                depth = max(0, depth - 1)
+            elif depth == 0 and (i == 0 or not run[i - 1].isalnum()):
+                return True
+    return False
+
+
+# Pieces without "order", and pieces that spell it only in a quoted token, a
+# comment, an identifier or non-ASCII letters; some texts also get a plain
+# ORDER BY in mixed case, or one with a comment for its space.
+_ORDERLESS_PIECES = st.sampled_from([
+    "SELECT a FROM t", "BY", "x", " ", "\n", "(", ")", "'", "\"", "[", "]", "--", "/*", "*/",
+    "ord", "er", "ORD", "ER", "ΑΣ", "İ", "\ud800",
+])
+_HIDDEN_ORDER_PIECES = st.sampled_from([
+    "'ORDER BY x'", '"order by"', "`Order By`", "[ORDER BY]", "-- ORDER BY x\n",
+    "/* order by */", "reorder by", "order_by", "ORDERS BY", "ＯＲＤＥＲ ＢＹ", "ÖRDER BY",
+    "ᴏʀᴅᴇʀ by", "orders", "o.order_year", "ORDER", "order",
+])
+
+
+@given(st.lists(_ORDERLESS_PIECES, max_size=12).map("".join)
+       | st.lists(_ORDERLESS_PIECES | _HIDDEN_ORDER_PIECES, max_size=12).map("".join)
+       | st.lists(_ORDERLESS_PIECES | _HIDDEN_ORDER_PIECES
+                  | st.sampled_from(["ORDER BY a", "Order\tby", "oRdEr BY", "order--x\nby",
+                                     "ORDER/**/BY"]),
+                  max_size=12).map("".join))
+@settings(max_examples=500)
+def test_order_by_fast_path_matches_the_old_scan_and_the_reference(text):
+    expected = _old_has_top_level_order_by(text)
+    assert _reference_has_top_level_order_by(text) is expected
+    assert has_top_level_order_by(SqlQuery(text)) is expected
 
 
 @pytest.mark.parametrize("text,expected", [

@@ -87,6 +87,22 @@ def test_alternating_wrongs_stop_before_resent_round(music_schema, fixture_db):
     assert result.ea is False
 
 
+def test_a_respelled_wrong_result_stops_before_a_resent_round(music_schema, fixture_db):
+    """A correction that returns the earlier wrong-result query respelled
+    (case, spacing, a comment) has its form and its feedback, so a second
+    round would resend round 1's prompt in all but spelling: the loop
+    stops."""
+    respelled = "select count(*)\n  FROM Concert /* again */"
+    gateway = scripted_gateway([WRONG], correction_sql_responses=[respelled, respelled],
+                               correction_rounds=2)
+    result = run(music_schema, fixture_db, gateway, max_correction_attempts=3)
+    assert result.trace.status == "exhausted"
+    assert [a.sql for a in result.trace.attempts] == [WRONG, respelled]
+    assert result.trace.attempts[1].repeat_of_earlier
+    assert stage_roles(result).count("correction_plan") == 1
+    assert gateway.backends["test"].calls == 4 + 2  # a second round adds 2
+
+
 def test_repeated_candidate_still_executes(music_schema, fixture_db, monkeypatch):
     """A repeated candidate is executed again, so a transient failure of
     its first run can clear. It differs from the gold in more than case, so
@@ -276,8 +292,8 @@ def test_a_timed_out_gold_runs_again_for_the_groups_next_sample(music_schema, fi
 class _SignallingCondition(threading.Condition):
     """A condition that sets ``waiting`` each time a thread waits on it."""
 
-    def __init__(self):
-        super().__init__(threading.Lock())
+    def __init__(self, lock):
+        super().__init__(lock)
         self.waiting = threading.Event()
 
     def wait(self, timeout=None):
@@ -292,7 +308,7 @@ class _SignallingCondition(threading.Condition):
 @pytest.mark.parametrize("gold", [False, True])
 def test_a_waiter_on_a_failed_run_runs_a_candidate_again_and_takes_the_gold(failed, gold):
     memo = pipeline.OutcomeMemo("select nope from singer")
-    memo._cond = cond = _SignallingCondition()
+    memo._cond = cond = _SignallingCondition(memo._lock)
     running, release = threading.Event(), threading.Event()
     fixed = ExecutionOutcome.success([(6,)], 1)
     got, runs = {}, []

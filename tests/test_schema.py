@@ -1,17 +1,21 @@
 import json
 import sqlite3
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from nl2sql.schema import (
+    LOGICAL_TYPES,
     DatabaseSchema,
     ForeignKey,
     LinkedSchema,
     SchemaError,
     SchemaFormatError,
     TableDef,
+    Violation,
     introspect_database,
     load_tables_json,
     render_schema_text,
@@ -307,3 +311,157 @@ def test_duplicate_table_rejected():
                 tables=(TableDef("t", (("a", "text"),)), TableDef("T", (("a", "text"),))),
             )
         )
+
+
+# --- the lowercase index against the linear scans it replaced ------------------
+# The references are the lookups as they were before DatabaseSchema indexed its
+# names: a scan over the tables and columns that lowercases each name per call.
+
+def _reference_table(schema, name):
+    for t in schema.tables:
+        if t.name.lower() == name.lower():
+            return t
+    return None
+
+
+def _reference_has_column(schema, table, column):
+    t = _reference_table(schema, table)
+    if t is None:
+        return False
+    return column.lower() in {c.lower() for c in t.column_names()}
+
+
+def _reference_validate(parent, link):
+    violations = []
+    if not link.kept:
+        violations.append(Violation("empty-link", link.db_id))
+    for tname, cols in link.kept.items():
+        table = _reference_table(parent, tname)
+        if table is None:
+            violations.append(Violation("unknown-table", tname))
+            continue
+        known = {c.lower() for c in table.column_names()}
+        for cname in cols:
+            if cname.lower() not in known:
+                violations.append(Violation("unknown-column", f"{tname}.{cname}"))
+    declared = {
+        (fk.src_table.lower(), fk.src_column.lower(), fk.dst_table.lower(), fk.dst_column.lower())
+        for fk in parent.foreign_keys
+    }
+    declared |= {(dt, dc, st, sc) for st, sc, dt, dc in declared}
+    for edge in link.join_edges:
+        for tbl, col in ((edge.src_table, edge.src_column), (edge.dst_table, edge.dst_column)):
+            if not _reference_has_column(parent, tbl, col):
+                violations.append(Violation("unknown-column", f"{tbl}.{col}"))
+                break
+        else:
+            key = (
+                edge.src_table.lower(),
+                edge.src_column.lower(),
+                edge.dst_table.lower(),
+                edge.dst_column.lower(),
+            )
+            if key not in declared:
+                violations.append(
+                    Violation(
+                        "non-fk-edge",
+                        f"{edge.src_table}.{edge.src_column}={edge.dst_table}.{edge.dst_column}",
+                        severity="warning",
+                    )
+                )
+    return violations
+
+
+def _reference_render_linked(link, parent):
+    blocks = []
+    for tname, cols in link.kept.items():
+        ptable = _reference_table(parent, tname) if parent else None
+        lines = [f"CREATE TABLE {tname} ("]
+        body = []
+        for cname in cols:
+            ctype = ""
+            marker = ""
+            if ptable is not None:
+                for pc, pt in ptable.columns:
+                    if pc.lower() == cname.lower():
+                        ctype = f" {pt}"
+                        break
+                if cname.lower() in {p.lower() for p in ptable.primary_keys}:
+                    marker = " PRIMARY KEY"
+            body.append(f"  {cname}{ctype}{marker}")
+        lines.append(",\n".join(body))
+        lines.append(");")
+        blocks.append("\n".join(lines))
+    for edge in link.join_edges:
+        blocks.append(
+            f"-- JOIN {edge.src_table}.{edge.src_column} = "
+            f"{edge.dst_table}.{edge.dst_column}"
+        )
+    return "\n\n".join(blocks) + "\n"
+
+
+# Names that collide only in case, so the first table or column of a name
+# must win as it did in the scans.
+_names = st.sampled_from(["a", "A", "b", "B", "ab", "aB", "Ab"])
+_foreign_keys = st.builds(ForeignKey, _names, _names, _names, _names)
+
+
+@st.composite
+def _schema_and_link(draw):
+    tables = tuple(
+        TableDef(name, tuple(draw(st.lists(st.tuples(_names, st.sampled_from(
+            sorted(LOGICAL_TYPES))), max_size=4))), tuple(draw(st.lists(_names, max_size=2))))
+        for name in draw(st.lists(_names, min_size=1, max_size=4)))
+    schema = DatabaseSchema("case", tables, tuple(draw(st.lists(_foreign_keys, max_size=4))))
+    link = LinkedSchema("case", draw(st.dictionaries(_names, st.lists(_names, max_size=4),
+                                                     max_size=4)),
+                        draw(st.lists(_foreign_keys, max_size=3)))
+    return schema, link
+
+
+@given(_schema_and_link())
+def test_indexed_lookups_match_the_linear_scans(schema_and_link):
+    schema, link = schema_and_link
+    for name in ("a", "A", "b", "B", "ab", "aB", "Ab", "c"):
+        assert schema.table(name) is _reference_table(schema, name)
+        for column in ("a", "B", "ab", "c"):
+            assert schema.has_column(name, column) is _reference_has_column(
+                schema, name, column)
+    assert validate_linked_schema(schema, link) == _reference_validate(schema, link)
+    assert (render_schema_text(link, parent=schema)
+            == _reference_render_linked(link, schema))
+    assert render_schema_text(link) == _reference_render_linked(link, None)
+
+
+def test_threads_first_touching_the_index_get_the_same_answers():
+    tables = tuple(TableDef(f"T{i}", tuple((f"C{j}", "text") for j in range(30)), ("c0",))
+                   for i in range(30))
+    keys = tuple(ForeignKey(f"t{i}", "c1", f"t{i + 1}", "c0") for i in range(29))
+    link = LinkedSchema("wide", {"t3": ["c0", "C5", "nope"], "missing": ["c0"]},
+                        [ForeignKey("T4", "c1", "t5", "C0"), ForeignKey("t1", "c2", "t2", "c0")])
+    reference = DatabaseSchema("wide", tables, keys)
+    expected = (tables[7], True, _reference_validate(reference, link),
+                _reference_render_linked(link, reference))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):  # a fresh schema each round, so each round builds its index
+            schema = DatabaseSchema("wide", tables, keys)
+            barrier = threading.Barrier(8)
+            answers = []
+
+            def touch():
+                barrier.wait(timeout=30)
+                answers.append((schema.table("t7"), schema.has_column("T29", "c29"),
+                                validate_linked_schema(schema, link),
+                                render_schema_text(link, parent=schema)))
+
+            threads = [threading.Thread(target=touch) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert answers == [expected] * 8
+    finally:
+        sys.setswitchinterval(previous)
