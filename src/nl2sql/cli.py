@@ -55,165 +55,169 @@ class CliError(Exception):
         self.code = code
 
 
-def load_config(path) -> dict:
-    if not path:
-        return {}
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}", EXIT_DATA)
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise CliError(f"config file {path} must hold a mapping", EXIT_DATA)
-    return data
-
-
-def _section(config: dict, name) -> dict:
-    """The mapping under ``name`` in the config, {} when unset."""
-    value = config.get(name) or {}
-    if not isinstance(value, dict):
-        raise CliError(f"config setting {name} must be a mapping, not {value!r}")
-    return value
-
-
-def _number(minimum, integral=False):
-    """A converter to a finite int (``integral``) or float of at least
-    ``minimum``; booleans and other types are refused with ValueError."""
-    def convert(value):
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or (integral and not isinstance(value, int))
-                or not math.isfinite(value) or value < minimum):
-            kind = "an integer" if integral else "a number"
-            raise ValueError(f"must be {kind} of at least {minimum}")
+def _number(minimum, integral=False, above=False):
+    """A check for a finite int (``integral``) or float of at least
+    ``minimum``, or above it when ``above``; a boolean is refused."""
+    def check(value):
+        if (isinstance(value, bool) or not isinstance(value, int if integral else (int, float))
+                or not math.isfinite(value) or value < minimum or (above and value == minimum)):
+            raise ValueError(f"must be {'an integer' if integral else 'a number'}"
+                             f" {'above' if above else 'of at least'} {minimum}")
         return value if integral else float(value)
-    return convert
+    return check
 
 
-def _flag(value):
-    if not isinstance(value, bool):
-        raise ValueError("must be true or false")
-    return value
+def _kind(test, description):
+    """A check that passes a value for which ``test`` holds."""
+    def check(value):
+        if not test(value):
+            raise ValueError(f"must be {description}")
+        return value
+    return check
 
 
 def _one_of(choices):
-    def convert(value):
-        if value not in choices:
-            raise ValueError(f"must be one of {', '.join(choices)}")
-        return value
-    return convert
+    return _kind(lambda value: value in choices, f"one of {', '.join(choices)}")
 
 
-def _checked(label, value, convert):
-    """``value`` passed through ``convert``; a value it refuses is a usage
+_boolean = _kind(lambda value: isinstance(value, bool), "true or false")
+_text = _kind(lambda value: isinstance(value, str) and value != "", "non-empty text")
+_reply = _kind(lambda value: isinstance(value, str), "text")
+_replies = _kind(lambda value: isinstance(value, list)
+                 and all(isinstance(reply, str) for reply in value), "a list of text replies")
+_SCRIPTS = {role: _replies for role in AGENT_ROLES}
+_GATEWAY_SETTINGS = {"temperature": _number(0), "max_output_tokens": _number(1, integral=True)}
+_BACKEND_KINDS = {
+    "remote": {"endpoint": _text, "api_key_env": _text, "timeout": _number(0, above=True)},
+    "scripted": {"scripts": _SCRIPTS, "exact": {"*": _reply}},
+}
+
+# Every config setting. A key's row is its check (a ValueError says what the
+# value must be) or the rows of the section under it; "*" stands for any
+# key, and a null section is unset. The builders pass on only the keys that
+# are set, so each default lives in the parameter it fills.
+SETTINGS = {
+    "model": _text, "cache_dir": _text, "templates_dir": _text,
+    "db_root": _text, "tables": _text, "questions": _text,
+    "backends": {"*": {"type": _one_of(tuple(_BACKEND_KINDS)),
+                       **_BACKEND_KINDS["remote"], **_BACKEND_KINDS["scripted"]}},
+    "route": {role: {"backend": _text, "model": _text} for role in AGENT_ROLES},
+    "pipeline": {**_GATEWAY_SETTINGS, "max_correction_attempts": _number(0, integral=True),
+                 "skip_query_plan": _boolean, "skip_correction": _boolean,
+                 "correction_trigger": _one_of(TRIGGER_MODES), "timeout": _number(0)},
+    "prices": {"*": _number(0)},
+}
+
+# The flags that override a setting, with its path in SETTINGS.
+FLAG_SETTINGS = {
+    "--model": "model", "--cache-dir": "cache_dir", "--templates-dir": "templates_dir",
+    "--db-root": "db_root", "--tables": "tables", "--questions": "questions",
+    "--max-corrections": "pipeline.max_correction_attempts",
+    "--no-query-plan": "pipeline.skip_query_plan", "--no-correction": "pipeline.skip_correction",
+}
+
+
+def _checked(label, value, check):
+    """``value`` passed through ``check``; a value it refuses is a usage
     error that names the setting by ``label``."""
     try:
-        return convert(value)
+        return check(value)
     except ValueError as exc:
         raise CliError(f"{label} {exc}, not {value!r}") from exc
 
 
-def _setting(pipeline_cfg: dict, name, convert, default):
-    return _checked(f"config setting pipeline.{name}", pipeline_cfg.get(name, default),
-                    convert)
+def _walk(rows, value, path):
+    """``value`` as the section at ``path`` ("" for the top level), each key
+    checked by its row in ``rows``."""
+    if rows is _SCRIPTS and isinstance(value, str):  # scripts may name a JSON file
+        try:
+            with open(value, encoding="utf-8") as fh:
+                value = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"config setting {path} names no readable JSON file: {exc}",
+                           EXIT_DATA) from exc
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise CliError(f"config setting {path} must be a mapping, not {value!r}")
+    checked = {}
+    for key, item in value.items():
+        where = f"{path}.{key}" if path else str(key)
+        row = rows.get(key, rows.get("*"))
+        if row is None:
+            raise CliError(f"config setting {where} is unknown; known here: {', '.join(rows)}")
+        checked[key] = (_walk(row, item, where) if isinstance(row, dict)
+                        else _checked(f"config setting {where}", item, row))
+    return checked
 
 
-def _build_backend(spec: dict, name="default"):
-    if not isinstance(spec, dict):
-        raise CliError(f"config setting backends.{name} must be a mapping, not {spec!r}")
-    kind = spec.get("type", "remote")
-    if kind == "scripted":
-        scripts = spec.get("scripts", {})
-        if isinstance(scripts, str):
-            with open(scripts, encoding="utf-8") as fh:
-                scripts = json.load(fh)
-        return ScriptedBackend(exact=spec.get("exact", {}), scripts=scripts)
-    if kind == "remote":
-        return RemoteBackend(
-            endpoint=spec.get("endpoint")
-            or os.environ.get("NL2SQL_ENDPOINT", DEFAULT_ENDPOINT),
-            api_key_env=spec.get("api_key_env", "NL2SQL_API_KEY"),
-            timeout=spec.get("timeout", 120.0),
-        )
-    raise CliError(f"unknown backend type {kind!r}", EXIT_USAGE)
+def load_config(args) -> dict:
+    """The settings of the YAML file ``args.config``, if any, checked against
+    SETTINGS, and each flag of FLAG_SETTINGS given laid over them, checked too."""
+    settings = {}
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                data = yaml.safe_load(fh)
+        except (OSError, yaml.YAMLError, ValueError) as exc:
+            raise CliError(f"config file {args.config} cannot be read:"
+                           f" {' '.join(str(exc).split())}", EXIT_DATA) from exc
+        if not isinstance(data, (dict, type(None))):
+            raise CliError(f"config file {args.config} must hold a mapping", EXIT_DATA)
+        settings = _walk(SETTINGS, data, "")
+    for flag, path in FLAG_SETTINGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            target = settings.setdefault(section, {}) if section else settings
+            target[key] = _checked(flag, value, (SETTINGS[section] if section else SETTINGS)[key])
+    return settings
 
 
-def build_gateway(config: dict, model_flag=None, cache_dir_flag=None,
-                  max_in_flight=1) -> Gateway:
-    backends = {
-        name: _build_backend(spec, name)
-        for name, spec in _section(config, "backends").items()
-    }
-    if not backends:
-        backends["default"] = _build_backend({"type": "remote"})
+def build_gateway(settings: dict, max_in_flight=1) -> Gateway:
+    backends = {}
+    for name, spec in (settings.get("backends") or {"default": {}}).items():
+        options = dict(spec)
+        kind = options.pop("type", "remote")
+        for key in options:
+            if key not in _BACKEND_KINDS[kind]:
+                raise CliError(f"config setting backends.{name}.{key} does not apply to a"
+                               f" {kind} backend")
+        if kind == "remote":
+            options.setdefault("endpoint", os.environ.get("NL2SQL_ENDPOINT", DEFAULT_ENDPOINT))
+        backends[name] = (RemoteBackend if kind == "remote" else ScriptedBackend)(**options)
+        if "cache_dir" in settings:
+            backends[name] = ReplayBackend(backends[name], settings["cache_dir"])
 
-    route_cfg = _section(config, "route")
-    if route_cfg:
-        routes = {}
-        for role, entry in route_cfg.items():
-            if role not in AGENT_ROLES:
-                raise CliError(f"config setting route.{role} is not an agent role;"
-                               f" the roles are {', '.join(AGENT_ROLES)}")
-            if not (isinstance(entry, dict) and isinstance(entry.get("backend"), str)
-                    and isinstance(entry.get("model"), str)):
-                raise CliError(f"config setting route.{role} must give a backend"
-                               f" and a model, not {entry!r}")
-            if entry["backend"] not in backends:
-                raise CliError(f"config setting route.{role} names backend"
-                               f" {entry['backend']!r}, which backends does not define")
-            routes[role] = (entry["backend"], entry["model"])
+    routes = settings.get("route")
+    if routes:
+        for role, entry in routes.items():
+            if entry.get("backend") not in backends or "model" not in entry:
+                raise CliError(f"config setting route.{role} must give a model and a backend"
+                               f" of {', '.join(backends)}, not {entry!r}")
         missing = [role for role in AGENT_ROLES if role not in routes]
         if missing:
             raise CliError(f"config setting route maps no backend for: {', '.join(missing)}")
-        route = ModelRoute(routes)
+        route = ModelRoute({role: (entry["backend"], entry["model"])
+                            for role, entry in routes.items()})
     else:
-        backend_id = next(iter(backends))
-        route = ModelRoute.uniform(backend_id, model_flag or config.get("model", DEFAULT_MODEL))
+        route = ModelRoute.uniform(next(iter(backends)), settings.get("model", DEFAULT_MODEL))
 
-    cache_dir = cache_dir_flag or config.get("cache_dir")
-    if cache_dir:
-        backends = {
-            name: ReplayBackend(backend, cache_dir)
-            for name, backend in backends.items()
-        }
-
-    pipeline_cfg = _section(config, "pipeline")
-    return Gateway(
-        backends=backends,
-        route=route,
-        temperature=_setting(pipeline_cfg, "temperature", _number(0), 0.0),
-        max_output_tokens=_setting(pipeline_cfg, "max_output_tokens",
-                                   _number(1, integral=True), 4096),
-        max_in_flight=max_in_flight,
-    )
+    pipeline = settings.get("pipeline", {})
+    return Gateway(backends=backends, route=route, max_in_flight=max_in_flight,
+                   **{key: pipeline[key] for key in _GATEWAY_SETTINGS if key in pipeline})
 
 
-def build_pipeline_config(config: dict, args) -> PipelineConfig:
-    pipeline_cfg = _section(config, "pipeline")
-    overrides = {}
-    templates_dir = getattr(args, "templates_dir", None) or config.get("templates_dir")
-    if templates_dir:
-        overrides["templates"] = agents.load_templates(templates_dir)
-    if getattr(args, "max_corrections", None) is not None:
-        max_corrections = _checked("--max-corrections", args.max_corrections,
-                                   _number(0, integral=True))
-    else:
-        max_corrections = _setting(pipeline_cfg, "max_correction_attempts",
-                                   _number(0, integral=True), 3)
-    return PipelineConfig(
-        max_correction_attempts=max_corrections,
-        skip_query_plan=getattr(args, "no_query_plan", False)
-        or _setting(pipeline_cfg, "skip_query_plan", _flag, False),
-        skip_correction=getattr(args, "no_correction", False)
-        or _setting(pipeline_cfg, "skip_correction", _flag, False),
-        correction_trigger=_setting(pipeline_cfg, "correction_trigger",
-                                    _one_of(TRIGGER_MODES), "gold_mismatch"),
-        timeout=_setting(pipeline_cfg, "timeout", _number(0), 30.0),
-        **overrides,
-    )
+def build_pipeline_config(settings: dict) -> PipelineConfig:
+    options = {key: value for key, value in settings.get("pipeline", {}).items()
+               if key not in _GATEWAY_SETTINGS}
+    if "templates_dir" in settings:
+        options["templates"] = agents.load_templates(settings["templates_dir"])
+    return PipelineConfig(**options)
 
 
-def _resolve_schema_and_db(args, config):
-    db_root = args.db_root or config.get("db_root")
-    tables = getattr(args, "tables", None) or config.get("tables")
+def _resolve_schema_and_db(args, settings):
+    db_root, tables = settings.get("db_root"), settings.get("tables")
     if args.db_file:
         db_file = args.db_file
     elif db_root and args.db:
@@ -232,10 +236,10 @@ def _resolve_schema_and_db(args, config):
 
 
 def cmd_ask(args) -> int:
-    config = load_config(args.config)
-    schema, db_file = _resolve_schema_and_db(args, config)
-    gateway = build_gateway(config, model_flag=args.model, cache_dir_flag=args.cache_dir)
-    pipeline_config = build_pipeline_config(config, args)
+    settings = load_config(args)
+    schema, db_file = _resolve_schema_and_db(args, settings)
+    gateway = build_gateway(settings)
+    pipeline_config = build_pipeline_config(settings)
     if not args.gold and pipeline_config.correction_trigger == "gold_mismatch":
         pipeline_config.correction_trigger = "execution_error_only"
 
@@ -261,31 +265,27 @@ def cmd_ask(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config)
-    questions = args.questions or config.get("questions")
-    tables = args.tables or config.get("tables")
-    db_root = args.db_root or config.get("db_root")
-    if not (questions and tables and db_root):
+    settings = load_config(args)
+    for flag, minimum in (("--limit", 0), ("--offset", 0), ("--parallelism", 1)):
+        value = getattr(args, flag[2:])
+        if value is not None:
+            _checked(flag, value, _number(minimum, integral=True))
+    if not all(key in settings for key in ("questions", "tables", "db_root")):
         raise CliError("eval requires --questions, --tables, and --db-root", EXIT_USAGE)
-    try:
-        samples, schemas, db_paths = evalkit.load_dataset(
-            questions, tables, db_root, offset=args.offset, limit=args.limit
-        )
-    except (OSError, SchemaError, evalkit.DatasetError) as exc:
-        raise CliError(str(exc), EXIT_DATA) from exc
+    samples, schemas, db_paths = evalkit.load_dataset(
+        settings["questions"], settings["tables"], settings["db_root"],
+        offset=args.offset, limit=args.limit
+    )
 
-    gateway = build_gateway(config, model_flag=args.model, cache_dir_flag=args.cache_dir,
-                            max_in_flight=max(1, args.parallelism))
-    pipeline_config = build_pipeline_config(config, args)
-    prices = {model: _checked(f"config setting prices.{model}", price, _number(0))
-              for model, price in _section(config, "prices").items()}
+    gateway = build_gateway(settings, max_in_flight=args.parallelism)
+    pipeline_config = build_pipeline_config(settings)
 
     report = evalkit.evaluate(
         samples, schemas, db_paths, pipeline_config, gateway,
         parallelism=args.parallelism,
         checkpoint_path=args.checkpoint,
         trace_path=args.trace_file,
-        prices=prices,
+        prices=settings.get("prices", {}),
     )
     paths = evalkit.write_report(report, args.out)
     with open(paths["summary"], encoding="utf-8") as fh:
@@ -368,28 +368,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="model id when no route is configured")
         p.add_argument("--cache-dir", help="replay cache directory")
         p.add_argument("--templates-dir", help="prompt template overrides")
-        p.add_argument("--no-correction", action="store_true",
+        p.add_argument("--no-correction", action="store_true", default=None,
                        help="disable the correction loop")
-        p.add_argument("--no-query-plan", action="store_true",
+        p.add_argument("--no-query-plan", action="store_true", default=None,
                        help="generate SQL directly from subproblems")
         p.add_argument("--max-corrections", type=int, default=None)
         p.add_argument("--trace-file", help="append per-sample traces here")
+        p.add_argument("--db-root", help="benchmark database directory")
+        p.add_argument("--tables", help="benchmark tables file")
 
     ask = sub.add_parser("ask", help="answer one question")
     add_common(ask)
     ask.add_argument("--question", required=True)
     ask.add_argument("--db", help="db_id under --db-root")
     ask.add_argument("--db-file", help="explicit SQLite file path")
-    ask.add_argument("--db-root", help="benchmark database directory")
-    ask.add_argument("--tables", help="benchmark tables file")
     ask.add_argument("--gold", help="gold SQL for an EA verdict")
     ask.set_defaults(func=cmd_ask)
 
     ev = sub.add_parser("eval", help="run a benchmark batch")
     add_common(ev)
     ev.add_argument("--questions", help="benchmark questions file")
-    ev.add_argument("--tables", help="benchmark tables file")
-    ev.add_argument("--db-root", help="benchmark database directory")
     ev.add_argument("--limit", type=int, default=None)
     ev.add_argument("--offset", type=int, default=0)
     ev.add_argument("--parallelism", type=int, default=4)

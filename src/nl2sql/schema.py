@@ -29,9 +29,6 @@ class TableDef:
     columns: tuple  # of (name, logical_type)
     primary_keys: tuple = ()
 
-    def column_names(self):
-        return tuple(c[0] for c in self.columns)
-
 
 @dataclass(frozen=True)
 class ForeignKey:

@@ -1,12 +1,15 @@
+import argparse
+import functools
 import json
 import os
+from pathlib import Path
 
 import pytest
 import yaml
 
-from nl2sql import evalkit
+from nl2sql import cli, evalkit
 from nl2sql.cli import main
-from nl2sql.gateway import read_replay_log
+from nl2sql.gateway import RemoteBackend, read_replay_log
 
 from conftest import FULL_LINK_JSON, PLAN_JSON, CORRECTION_PLAN_JSON, fixture_tables_entry
 
@@ -273,6 +276,22 @@ _ALL_ROLES = ("schema_linking", "subproblem", "query_plan", "sql",
     ([], {"route": {role: {"backend": "nope" if role == "sql" else "fixtures", "model": "m"}
                     for role in _ALL_ROLES}}, "route.sql"),
     ([], {"route": {"planner": {"backend": "fixtures", "model": "m"}}}, "route.planner"),
+    ([], {"backends": {"fixtures": {"type": "scripted", "scripts": [1, 2]}}},
+     "backends.fixtures.scripts"),
+    ([], {"backends": {"fixtures": {"type": "scripted", "scripts": {"sql": 5}}}},
+     "backends.fixtures.scripts.sql"),
+    ([], {"backends": {"fixtures": {"type": "scripted", "scripts": {"schema_linking": [5]}}}},
+     "backends.fixtures.scripts.schema_linking"),
+    ([], {"backends": {"fixtures": {"type": "scripted", "exact": [1]}}},
+     "backends.fixtures.exact"),
+    ([], {"backends": {"fixtures": {"type": "scripted", "timeout": 5}}},
+     "backends.fixtures.timeout"),
+    ([], {"modle": "m"}, "modle"),
+    ([], {"backends": {"fixtures": {"type": "scripted", "scirpts": {}}}},
+     "backends.fixtures.scirpts"),
+    ([], {"route": {"sql": {"backend": "fixtures", "modle": "m"}}}, "route.sql.modle"),
+    ([], {"pipeline": {"timout": 5}}, "pipeline.timout"),
+    ([], {"prices": {"m": -1}}, "prices.m"),
 ])
 def test_invalid_setting_exits_1_before_any_model_call(tmp_path, eval_assets, fixture_db,
                                                       capsys, command, flags, extra, named):
@@ -291,6 +310,122 @@ def test_invalid_setting_exits_1_before_any_model_call(tmp_path, eval_assets, fi
     error, = captured.err.splitlines()
     assert error.startswith("error: ") and f" {named} " in error
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--limit", "-1"), ("--offset", "-2"), ("--parallelism", "0"), ("--parallelism", "-3"),
+])
+def test_eval_batch_flag_out_of_range_exits_1(tmp_path, eval_assets, capsys, flag, value):
+    questions, tables, db_root, config = eval_assets
+    code = main(["eval", "--config", config, "--questions", questions, "--tables", tables,
+                 "--db-root", db_root, "--out", str(tmp_path / "out"), flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    error, = captured.err.splitlines()
+    assert error.startswith(f"error: {flag} must be an integer of at least ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_remote_timeout_that_is_not_a_number_exits_1_before_any_model_call(
+        tmp_path, fixture_db, capsys, monkeypatch):
+    calls = []
+
+    class Session:
+        def post(self, url, **kwargs):
+            calls.append(kwargs["timeout"])
+            raise ValueError(f"timeout must be a number, not {kwargs['timeout']!r}")
+
+    monkeypatch.setenv("NL2SQL_API_KEY", "key")
+    monkeypatch.setattr(cli, "RemoteBackend",
+                        functools.partial(RemoteBackend, session=Session(), sleep=calls.append))
+    config = write_config(tmp_path, {}, backends={"api": {"timeout": "soon"}})
+    code = main(["ask", "--config", config, "--db-file", fixture_db, "--question", "q"])
+    error, = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert error.startswith("error: config setting backends.api.timeout must be a number")
+    assert calls == []
+
+
+@pytest.mark.parametrize("content, code", [
+    ("[1, 2]", 1),  # the same check as an inline value
+    ("{'sql': ['SELECT 1']}", 2),  # not JSON
+])
+def test_scripts_file_is_checked(tmp_path, fixture_db, capsys, content, code):
+    scripts = tmp_path / "scripts.json"
+    scripts.write_text(content, encoding="utf-8")
+    config = write_config(tmp_path, str(scripts))
+    assert main(["ask", "--config", config, "--db-file", fixture_db, "--question", "q"]) == code
+    error, = capsys.readouterr().err.splitlines()
+    assert error.startswith("error: config setting backends.fixtures.scripts ")
+
+
+def test_scripts_file_feeds_the_scripted_backend(tmp_path, fixture_db, capsys):
+    scripts = tmp_path / "scripts.json"
+    scripts.write_text(json.dumps(ask_scripts("SELECT COUNT(*) FROM singer")),
+                       encoding="utf-8")
+    config = write_config(tmp_path, str(scripts))
+    assert main(["ask", "--config", config, "--db-file", fixture_db, "--question", "q"]) == 0
+    assert capsys.readouterr().out.strip() == "SELECT COUNT(*) FROM singer"
+
+
+@pytest.mark.parametrize("text", ["backends: {a: 1", "model: [unclosed\n"])
+def test_config_file_that_is_not_yaml_exits_2(tmp_path, fixture_db, capsys, text):
+    config = tmp_path / "config.yaml"
+    config.write_text(text, encoding="utf-8")
+    code = main(["ask", "--config", str(config), "--db-file", fixture_db, "--question", "q"])
+    error, = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert error.startswith(f"error: config file {config} cannot be read: ")
+
+
+@pytest.mark.parametrize("flags, pipeline", [
+    ([], {"skip_query_plan": True, "skip_correction": True}),
+    (["--no-query-plan", "--no-correction"], {"skip_query_plan": False}),
+])
+def test_skip_settings_and_their_flags(tmp_path, fixture_db, capsys, flags, pipeline):
+    scripts = ask_scripts("SELECT COUNT(*) FROM singer")
+    del scripts["query_plan"]  # a query_plan call would be a stage error
+    config = write_config(tmp_path, scripts, pipeline=pipeline)
+    code = main(["ask", "--config", config, "--db-file", fixture_db,
+                 "--question", "How many singers do we have?"] + flags)
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "SELECT COUNT(*) FROM singer"
+
+
+def test_integer_temperature_reaches_the_gateway_as_a_float(tmp_path, eval_assets,
+                                                            monkeypatch):
+    questions, tables, db_root, _ = eval_assets
+    seen = {}
+    real_evaluate = evalkit.evaluate
+
+    def spy(samples, schemas, db_paths, pipeline_config, gateway, **kwargs):
+        seen["temperature"] = gateway.temperature
+        return real_evaluate(samples, schemas, db_paths, pipeline_config, gateway, **kwargs)
+
+    monkeypatch.setattr(evalkit, "evaluate", spy)
+    scripts = ask_scripts(["SELECT COUNT(*) FROM singer"] * 3, n=3)
+    config = write_config(tmp_path, scripts, pipeline={"temperature": 0})
+    written = yaml.safe_load(Path(config).read_text(encoding="utf-8"))
+    assert written["pipeline"] == {"temperature": 0}  # a YAML int
+    main(["eval", "--config", config, "--questions", questions, "--tables", tables,
+          "--db-root", db_root, "--parallelism", "1", "--no-correction",
+          "--out", str(tmp_path / "out")])
+    assert type(seen["temperature"]) is float and seen["temperature"] == 0.0
+
+
+def test_readme_config_example_loads_and_lists_every_setting(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### YAML config", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.yaml"
+    path.write_text(example, encoding="utf-8")
+    settings = cli.load_config(argparse.Namespace(config=str(path)))
+    assert settings == yaml.safe_load(example)
+    assert set(settings) == set(cli.SETTINGS)
+    assert set(settings["pipeline"]) == set(cli.SETTINGS["pipeline"])
+    assert set(settings["route"]) == set(cli.SETTINGS["route"])
+    assert {key for spec in settings["backends"].values() for key in spec} \
+        == set(cli.SETTINGS["backends"]["*"])
 
 
 def test_eval_requires_inputs(capsys):

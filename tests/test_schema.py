@@ -186,7 +186,7 @@ def test_introspect_matches_hand_parsed_ddl(fixture_db, music_schema):
     assert {t.name for t in introspected.tables} == {t.name for t in music_schema.tables}
     for table in introspected.tables:
         expected = music_schema.table(table.name)
-        assert set(table.column_names()) == set(expected.column_names())
+        assert {c for c, _ in table.columns} == {c for c, _ in expected.columns}
         assert set(table.primary_keys) == set(expected.primary_keys)
     assert set(introspected.foreign_keys) == set(music_schema.foreign_keys)
 
@@ -227,7 +227,7 @@ def test_render_roundtrip_names(music_schema):
     assert rendered_tables == {t.name for t in music_schema.tables}
     for table in music_schema.tables:
         block = text.split(f"CREATE TABLE {table.name} (")[1].split(");")[0]
-        for cname in table.column_names():
+        for cname, _ in table.columns:
             assert re.search(rf"^  {re.escape(cname)} ", block, re.M)
 
 
@@ -241,7 +241,7 @@ def test_validate_unknown_column(music_schema):
 def test_validate_full_parent_is_valid(music_schema):
     link = LinkedSchema(
         "music",
-        {t.name: list(t.column_names()) for t in music_schema.tables},
+        {t.name: [c for c, _ in t.columns] for t in music_schema.tables},
         join_edges=list(music_schema.foreign_keys),
     )
     assert validate_linked_schema(music_schema, link) == []
@@ -290,7 +290,7 @@ def test_random_crops_validate(data):
     kept = {}
     for table in schema.tables:
         cols = data.draw(
-            st.lists(st.sampled_from(table.column_names()), unique=True),
+            st.lists(st.sampled_from([c for c, _ in table.columns]), unique=True),
             label=table.name,
         )
         if cols:
@@ -328,7 +328,7 @@ def _reference_has_column(schema, table, column):
     t = _reference_table(schema, table)
     if t is None:
         return False
-    return column.lower() in {c.lower() for c in t.column_names()}
+    return column.lower() in {c.lower() for c, _ in t.columns}
 
 
 def _reference_validate(parent, link):
@@ -340,7 +340,7 @@ def _reference_validate(parent, link):
         if table is None:
             violations.append(Violation("unknown-table", tname))
             continue
-        known = {c.lower() for c in table.column_names()}
+        known = {c.lower() for c, _ in table.columns}
         for cname in cols:
             if cname.lower() not in known:
                 violations.append(Violation("unknown-column", f"{tname}.{cname}"))
