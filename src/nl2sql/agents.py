@@ -7,6 +7,7 @@ per stage invocation).
 """
 
 import json
+import os
 import re
 import sqlite3
 import threading
@@ -142,15 +143,18 @@ def load_default_templates() -> dict:
 
 
 def load_templates(directory) -> dict:
-    """Load overriding templates from a directory; file naming = role id."""
-    import os
-
+    """The built-in templates, each overridden by ``<role>.txt`` in
+    ``directory`` when that file exists; raises FileNotFoundError when none
+    of the six does, so a misspelt path does not run the built-in ones."""
     templates = load_default_templates()
-    for role in list(templates):
-        path = os.path.join(str(directory), role + ".txt")
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                templates[role] = _parse_template_file(role, fh.read())
+    found = [role for role in AGENT_ROLES
+             if os.path.isfile(os.path.join(str(directory), role + ".txt"))]
+    if not found:
+        raise FileNotFoundError(f"templates directory {directory} holds none of"
+                                f" {', '.join(role + '.txt' for role in AGENT_ROLES)}")
+    for role in found:
+        with open(os.path.join(str(directory), role + ".txt"), encoding="utf-8") as fh:
+            templates[role] = _parse_template_file(role, fh.read())
     return templates
 
 
@@ -203,7 +207,7 @@ def looks_like_sql_statement(step: str) -> bool:
         return True
     except sqlite3.OperationalError as exc:
         return bool(_NO_SUCH.search(str(exc)))
-    except sqlite3.Error:
+    except (sqlite3.Error, UnicodeEncodeError):  # a lone surrogate is no SQLite text
         return False
 
 
@@ -273,7 +277,7 @@ def run_schema_linking(question, schema, gateway, trace, templates) -> LinkedSch
         dropped = []
         for v in violations:
             if v.severity != "error":
-                trace.add_warning(f"schema_linking: {v}")
+                trace.warnings.append(f"schema_linking: {v}")
                 continue
             dropped.append(str(v))
             if v.kind == "unknown-table":
@@ -290,7 +294,7 @@ def run_schema_linking(question, schema, gateway, trace, templates) -> LinkedSch
                 ]
         link.kept = {t: c for t, c in link.kept.items() if c}
         for entity in dropped:
-            trace.add_warning(f"schema_linking: dropped {entity}")
+            trace.warnings.append(f"schema_linking: dropped {entity}")
         if not link.kept:
             raise ValueError("no valid tables/columns remained after validation")
         return link
@@ -315,7 +319,7 @@ def run_subproblem(question, schema_text, gateway, trace, templates) -> Subprobl
         for key, value in payload.items():
             norm = str(key).upper().replace("_", " ").strip()
             if norm not in canonical:
-                trace.add_warning(f"subproblem: dropped unknown clause key {key!r}")
+                trace.warnings.append(f"subproblem: dropped unknown clause key {key!r}")
                 continue
             text = str(value).strip()
             if text:

@@ -34,6 +34,7 @@ from .pipeline import (
     TRIGGER_MODES,
     PipelineConfig,
     append_trace,
+    gold_sql,
     load_traces,
     run_pipeline,
 )
@@ -82,14 +83,13 @@ def _one_of(choices):
 
 _boolean = _kind(lambda value: isinstance(value, bool), "true or false")
 _text = _kind(lambda value: isinstance(value, str) and value != "", "non-empty text")
-_reply = _kind(lambda value: isinstance(value, str), "text")
 _replies = _kind(lambda value: isinstance(value, list)
                  and all(isinstance(reply, str) for reply in value), "a list of text replies")
 _SCRIPTS = {role: _replies for role in AGENT_ROLES}
 _GATEWAY_SETTINGS = {"temperature": _number(0), "max_output_tokens": _number(1, integral=True)}
 _BACKEND_KINDS = {
     "remote": {"endpoint": _text, "api_key_env": _text, "timeout": _number(0, above=True)},
-    "scripted": {"scripts": _SCRIPTS, "exact": {"*": _reply}},
+    "scripted": {"scripts": _SCRIPTS},
 }
 
 # Every config setting. A key's row is its check (a ValueError says what the
@@ -103,7 +103,7 @@ SETTINGS = {
                        **_BACKEND_KINDS["remote"], **_BACKEND_KINDS["scripted"]}},
     "route": {role: {"backend": _text, "model": _text} for role in AGENT_ROLES},
     "pipeline": {**_GATEWAY_SETTINGS, "max_correction_attempts": _number(0, integral=True),
-                 "skip_query_plan": _boolean, "skip_correction": _boolean,
+                 "skip_query_plan": _boolean,
                  "correction_trigger": _one_of(TRIGGER_MODES), "timeout": _number(0)},
     "prices": {"*": _number(0)},
 }
@@ -112,8 +112,8 @@ SETTINGS = {
 FLAG_SETTINGS = {
     "--model": "model", "--cache-dir": "cache_dir", "--templates-dir": "templates_dir",
     "--db-root": "db_root", "--tables": "tables", "--questions": "questions",
-    "--max-corrections": "pipeline.max_correction_attempts",
-    "--no-query-plan": "pipeline.skip_query_plan", "--no-correction": "pipeline.skip_correction",
+    "--max-corrections": "pipeline.max_correction_attempts",  # --no-correction sets it to 0
+    "--no-query-plan": "pipeline.skip_query_plan",
 }
 
 
@@ -236,12 +236,12 @@ def _resolve_schema_and_db(args, settings):
 
 
 def cmd_ask(args) -> int:
+    if args.gold is not None and not gold_sql(args.gold).text:
+        raise CliError(f"--gold is blank, not {args.gold!r}")
     settings = load_config(args)
     schema, db_file = _resolve_schema_and_db(args, settings)
     gateway = build_gateway(settings)
     pipeline_config = build_pipeline_config(settings)
-    if not args.gold and pipeline_config.correction_trigger == "gold_mismatch":
-        pipeline_config.correction_trigger = "execution_error_only"
 
     with contextlib.closing(connect_readonly(db_file)) as connection:
         result = run_pipeline(
@@ -276,6 +276,10 @@ def cmd_eval(args) -> int:
         settings["questions"], settings["tables"], settings["db_root"],
         offset=args.offset, limit=args.limit
     )
+    if not samples:
+        limit = "" if args.limit is None else f" --limit {args.limit}"
+        raise CliError(f"--offset {args.offset}{limit} selects no question of"
+                       f" {settings['questions']}")
 
     gateway = build_gateway(settings, max_in_flight=args.parallelism)
     pipeline_config = build_pipeline_config(settings)
@@ -368,11 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="model id when no route is configured")
         p.add_argument("--cache-dir", help="replay cache directory")
         p.add_argument("--templates-dir", help="prompt template overrides")
-        p.add_argument("--no-correction", action="store_true", default=None,
-                       help="disable the correction loop")
+        corrections = p.add_mutually_exclusive_group()
+        corrections.add_argument("--no-correction", dest="max_corrections", action="store_const",
+                                 const=0, help="no correction round (--max-corrections 0)")
+        corrections.add_argument("--max-corrections", type=int, default=None)
         p.add_argument("--no-query-plan", action="store_true", default=None,
                        help="generate SQL directly from subproblems")
-        p.add_argument("--max-corrections", type=int, default=None)
         p.add_argument("--trace-file", help="append per-sample traces here")
         p.add_argument("--db-root", help="benchmark database directory")
         p.add_argument("--tables", help="benchmark tables file")

@@ -66,7 +66,8 @@ def load_dataset(questions_file, tables_file, db_root, offset=0, limit=None):
     """Load samples plus a schema index and database-path index.
 
     Samples preserve file order; [offset, limit] selects a mini-batch.
-    Every sample's db_id must resolve to both a schema and a database file.
+    Every question and gold query must be non-blank text, and every
+    selected sample's db_id must resolve to both a schema and a database file.
     """
     from .schema import load_tables_json
 
@@ -93,6 +94,9 @@ def load_dataset(questions_file, tables_file, db_root, offset=0, limit=None):
                 raise DatasetError(
                     f"{questions_file}: malformed entry {i}: {name!r} is not text"
                 )
+            text = gold_sql(entry[name]).text if name == "query" else entry[name].strip()
+            if name != "db_id" and not text:
+                raise DatasetError(f"{questions_file}: malformed entry {i}: {name!r} is blank")
         samples.append(sample)
 
     window = samples[offset:offset + limit if limit is not None else None]

@@ -104,9 +104,6 @@ class ModelRoute:
     def uniform(cls, backend_id: str, model_id: str) -> "ModelRoute":
         return cls({role: (backend_id, model_id) for role in AGENT_ROLES})
 
-    def resolve(self, role: str):
-        return self.routes[role]
-
 
 @functools.lru_cache(maxsize=64)
 def _key_head(model_id, temperature, role, content):
@@ -138,36 +135,27 @@ def cache_key(request: ChatRequest) -> str:
 
 
 class ScriptedBackend:
-    """Deterministic fixture backend.
-
-    Matches on cache_key first; falls back to an ordered per-role script
-    (Nth call for role R returns fixture N); a request that neither
-    matches raises ScriptedMissError. Hash matching is brittle while
-    prompts are under development; ordered scripts keep tests stable.
+    """Deterministic fixture backend: an ordered per-role script (the Nth
+    call for role R returns fixture N); a call past the end of its role's
+    script raises ScriptedMissError. A reply keyed by request digest is a
+    replay log record (see ReplayBackend).
     """
 
     tag = "scripted"
 
-    def __init__(self, exact=None, scripts=None):
-        self.exact = dict(exact or {})
+    def __init__(self, scripts=None):
         self.scripts = {role: list(items) for role, items in (scripts or {}).items()}
         self._cursors = {}
         self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest, role: str | None = None) -> ChatResponse:
-        key = cache_key(request)
-        if key in self.exact:
-            content = self.exact[key]
-        else:
-            with self._lock:
-                script = self.scripts.get(role or "", [])
-                cursor = self._cursors.get(role, 0)
-                if cursor >= len(script):
-                    raise ScriptedMissError(
-                        f"no fixture for role={role!r} call #{cursor + 1}"
-                    )
-                content = script[cursor]
-                self._cursors[role] = cursor + 1
+        with self._lock:
+            script = self.scripts.get(role or "", [])
+            cursor = self._cursors.get(role, 0)
+            if cursor >= len(script):
+                raise ScriptedMissError(f"no fixture for role={role!r} call #{cursor + 1}")
+            content = script[cursor]
+            self._cursors[role] = cursor + 1
         prompt_chars = sum(len(c) for _, c in request.messages)
         return ChatResponse(
             content=content,
@@ -402,7 +390,7 @@ class Gateway:
 
     def complete_for_role(self, role: str, messages) -> tuple:
         """Returns (ChatResponse, model_id) for the routed backend."""
-        backend_id, model_id = self.route.resolve(role)
+        backend_id, model_id = self.route.routes[role]
         backend = self.backends[backend_id]
         request = ChatRequest(
             model_id=model_id,

@@ -85,9 +85,6 @@ class PipelineTrace:
             )
         )
 
-    def add_warning(self, message):
-        self.warnings.append(message)
-
     @property
     def total_tokens(self):
         return sum(s.prompt_tokens + s.completion_tokens for s in self.stages)
@@ -97,7 +94,6 @@ class PipelineTrace:
 class PipelineConfig:
     max_correction_attempts: int = 3
     skip_query_plan: bool = False
-    skip_correction: bool = False
     correction_trigger: str = "gold_mismatch"
     timeout: float = 30.0
     templates: dict = field(default_factory=agents.load_default_templates)
@@ -231,7 +227,8 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     sql, sanitize, execute; then correction rounds of correction_plan,
     correction_sql, sanitize, execute until the trigger stops firing, the
     round budget is spent, or a round would resend an earlier round's
-    feedback on a failed query of the same ``canonical_sql`` form.
+    feedback on a failed query of the same ``canonical_sql`` form. Without
+    ``gold_query`` both triggers fire only on a candidate that did not succeed.
 
     Every query runs on ``connection``, from ``execution.connect_readonly``
     and owned by the caller, who closes it.
@@ -267,8 +264,6 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     column names may differ, but an ExecutionOutcome holds none. So a
     served outcome is the one executing the text would return.
     """
-    if config.correction_trigger == "gold_mismatch" and not gold_query:
-        raise ValueError("gold_mismatch trigger requires a gold query")
     taxonomy = default_taxonomy()
     templates = config.templates
     trace = PipelineTrace(sample_id=sample_id or question[:48])
@@ -323,7 +318,7 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
         raw_sql = agents.run_sql(question, plan_text, gateway, trace, templates)
     except agents.StageError as exc:
         trace.status = "stage_error"
-        trace.add_warning(str(exc))
+        trace.warnings.append(str(exc))
         return PipelineResult(None, None, None, trace)
 
     forms = {}  # the canonical_sql form of each candidate text so far
@@ -364,11 +359,7 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     query, outcome, ea = attempt(raw_sql)
 
     sent = set()  # (failed query's form, feedback) of every round so far
-    while (
-        trigger_fires(outcome, ea)
-        and not config.skip_correction
-        and len(sent) < config.max_correction_attempts
-    ):
+    while trigger_fires(outcome, ea) and len(sent) < config.max_correction_attempts:
         failed_sql = query.text if query else "(no executable SQL was produced)"
         feedback = _feedback_text(outcome, ea, gold_outcome is not None)
         key = (forms[query.text] if query else None, feedback)
@@ -386,7 +377,7 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
             )
         except agents.StageError as exc:
             trace.status = "stage_error"
-            trace.add_warning(str(exc))
+            trace.warnings.append(str(exc))
             return PipelineResult(query, outcome, ea, trace)
         new_query, outcome, ea = attempt(raw_fixed)
         query = new_query or query

@@ -102,7 +102,7 @@ def test_acceptance_pipeline_control_flow(music_schema, fixture_db):
 
     no_correction = _run(
         music_schema, fixture_db, scripted_gateway([WRONG]),
-        skip_correction=True,
+        max_correction_attempts=0,
     )
     assert len(no_correction.trace.attempts) == 1
     assert [s.role for s in no_correction.trace.stages] == [

@@ -210,6 +210,8 @@ def test_render_equals_the_regex_substitution(user_template, bindings):
     ("Join concert to stadium on the stadium id", False),
     ("WITH x AS (SELECT 1) SELECT * FROM x", True),
     ("Select the relevant columns for the answer", False),
+    ("SELECT '\ud800'", False),  # a lone surrogate: no text SQLite can read
+    ("2. SELECT name FROM singer WHERE name = 'x\udfff'", False),
 ])
 def test_looks_like_sql_statement(step, expected):
     assert looks_like_sql_statement(step) is expected
@@ -332,6 +334,13 @@ def test_query_plan_rejects_sql_step_then_accepts_fix(music_schema, trace):
     good = json.dumps({"steps": ["List each singer name from the table"]})
     plan = run_plan(music_schema, trace, [bad, good])
     assert plan.steps == ["List each singer name from the table"]
+
+
+def test_query_plan_step_with_a_lone_surrogate_needs_no_reask(music_schema, trace):
+    plan = run_plan(music_schema, trace, ["1. SELECT '\ud800' as the label\n2. Count rows"])
+    assert plan.steps == ["SELECT '\ud800' as the label", "Count rows"]
+    assert [stage.role for stage in trace.stages][-1:] == ["query_plan"]
+    assert not trace.stages[-1].warnings
 
 
 def test_query_plan_empty_response_errors(music_schema, trace):

@@ -72,6 +72,20 @@ def test_ask_with_gold_reports_ea(tmp_path, fixture_db, capsys):
     assert "execution accuracy: True" in captured.err
 
 
+@pytest.mark.parametrize("gold", ["", "  ", ";", " ;; "])
+def test_ask_with_a_blank_gold_exits_1_before_any_model_call(tmp_path, fixture_db, capsys,
+                                                             gold):
+    trace = tmp_path / "trace.jsonl"
+    config = write_config(tmp_path, ask_scripts("SELECT COUNT(*) FROM singer"))
+    code = main(["ask", "--config", config, "--db-file", fixture_db, "--question", "q",
+                 "--gold", gold, "--trace-file", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --gold is blank, not {gold!r}"]
+    assert not trace.exists()
+
+
 def test_ask_stage_error_exit_code(tmp_path, fixture_db, capsys):
     config = write_config(tmp_path, {
         "schema_linking": ["junk", "junk again"],
@@ -267,7 +281,8 @@ _ALL_ROLES = ("schema_linking", "subproblem", "query_plan", "sql",
     ([], {"pipeline": {"correction_trigger": "sometimes"}}, "pipeline.correction_trigger"),
     ([], {"pipeline": {"timeout": "soon"}}, "pipeline.timeout"),
     ([], {"pipeline": {"max_correction_attempts": 1.5}}, "pipeline.max_correction_attempts"),
-    ([], {"pipeline": {"skip_correction": "no"}}, "pipeline.skip_correction"),
+    ([], {"pipeline": {"skip_query_plan": "no"}}, "pipeline.skip_query_plan"),
+    ([], {"pipeline": {"skip_correction": True}}, "pipeline.skip_correction"),
     ([], {"pipeline": {"temperature": -1}}, "pipeline.temperature"),
     ([], {"pipeline": [1, 2]}, "pipeline"),
     ([], {"backends": {"fixtures": "scripted"}}, "backends.fixtures"),
@@ -282,7 +297,7 @@ _ALL_ROLES = ("schema_linking", "subproblem", "query_plan", "sql",
      "backends.fixtures.scripts.sql"),
     ([], {"backends": {"fixtures": {"type": "scripted", "scripts": {"schema_linking": [5]}}}},
      "backends.fixtures.scripts.schema_linking"),
-    ([], {"backends": {"fixtures": {"type": "scripted", "exact": [1]}}},
+    ([], {"backends": {"fixtures": {"type": "scripted", "exact": {}}}},
      "backends.fixtures.exact"),
     ([], {"backends": {"fixtures": {"type": "scripted", "timeout": 5}}},
      "backends.fixtures.timeout"),
@@ -310,6 +325,86 @@ def test_invalid_setting_exits_1_before_any_model_call(tmp_path, eval_assets, fi
     error, = captured.err.splitlines()
     assert error.startswith("error: ") and f" {named} " in error
     assert not (tmp_path / "out").exists()
+
+
+def test_no_correction_and_max_corrections_exclude_each_other(fixture_db, capsys):
+    code = main(["ask", "--db-file", fixture_db, "--question", "q",
+                 "--no-correction", "--max-corrections", "2"])
+    assert code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, fixes, attempts", [
+    ("SELECT COUNT(*) FROM concert", [], 1),  # valid but wrong: no gold, no mismatch
+    ("SELECT namee FROM singer", ["SELECT COUNT(*) FROM singer"], 2),
+])
+def test_ask_without_gold_corrects_only_a_failing_candidate(tmp_path, fixture_db, capsys,
+                                                            first, fixes, attempts):
+    config = write_config(tmp_path, ask_scripts(first, fixes=fixes))  # default trigger
+    code = main(["ask", "--config", config, "--db-file", fixture_db,
+                 "--question", "How many singers do we have?"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip() == (fixes or [first])[-1]
+    assert f"attempts: {attempts}" in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--limit", "0"], ["--offset", "3"], ["--offset", "7"],
+                                   ["--offset", "2", "--limit", "0"]])
+def test_eval_of_an_empty_batch_exits_1_before_any_file_write(tmp_path, eval_assets, capsys,
+                                                             flags):
+    questions, tables, db_root, config = eval_assets
+    out = tmp_path / "runs"
+    code = main(["eval", "--config", config, "--questions", questions, "--tables", tables,
+                 "--db-root", db_root, "--parallelism", "1", "--out", str(out / "report"),
+                 "--checkpoint", str(out / "rows.jsonl"), "--trace-file", str(out / "t.jsonl"),
+                 "--cache-dir", str(out / "cache")] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    error, = captured.err.splitlines()
+    assert error.startswith("error: --offset ")
+    assert error.endswith(f" selects no question of {questions}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text", [("question", " \n"), ("query", ""), ("query", " ;; ")])
+def test_eval_blank_question_or_query_exits_2(tmp_path, eval_assets, capsys, name, text):
+    _, tables, db_root, config = eval_assets
+    entry = {"question": "q", "query": "SELECT 1", "db_id": "music", name: text}
+    questions = tmp_path / "blank.json"
+    questions.write_text(json.dumps([entry]))
+    code = main(["eval", "--config", config, "--questions", str(questions),
+                 "--tables", tables, "--db-root", db_root, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"malformed entry 0: {name!r} is blank" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["/nonexistent/dir", "empty"])
+def test_templates_dir_without_templates_exits_2(tmp_path, fixture_db, capsys, where):
+    (tmp_path / "empty").mkdir()
+    config = write_config(tmp_path, ask_scripts("SELECT COUNT(*) FROM singer"))
+    code = main(["ask", "--config", config, "--db-file", fixture_db, "--question", "q",
+                 "--templates-dir", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error, = captured.err.splitlines()
+    assert error.startswith(f"error: templates directory {tmp_path / where} holds none of ")
+
+
+def test_templates_dir_overrides_only_the_files_it_holds(tmp_path, fixture_db, capsys):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "sql.txt").write_text("Write SQL.\n--- user ---\nSQL for: {question}",
+                                       encoding="utf-8")
+    config = write_config(tmp_path, ask_scripts("SELECT COUNT(*) FROM singer"))
+    trace_file = tmp_path / "trace.jsonl"
+    assert main(["ask", "--config", config, "--db-file", fixture_db, "--question", "q",
+                 "--templates-dir", str(templates), "--trace-file", str(trace_file)]) == 0
+    stages = json.loads(trace_file.read_text(encoding="ascii"))["stages"]
+    assert [stage["prompt"] == "SQL for: q" for stage in stages] == [False, False, False, True]
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -379,7 +474,7 @@ def test_config_file_that_is_not_yaml_exits_2(tmp_path, fixture_db, capsys, text
 
 
 @pytest.mark.parametrize("flags, pipeline", [
-    ([], {"skip_query_plan": True, "skip_correction": True}),
+    ([], {"skip_query_plan": True, "max_correction_attempts": 0}),
     (["--no-query-plan", "--no-correction"], {"skip_query_plan": False}),
 ])
 def test_skip_settings_and_their_flags(tmp_path, fixture_db, capsys, flags, pipeline):

@@ -36,6 +36,7 @@ from nl2sql.evalkit import (
 from nl2sql import pipeline
 from nl2sql.agents import load_default_templates
 from nl2sql.gateway import (
+    AGENT_ROLES,
     ChatResponse,
     Gateway,
     ModelRoute,
@@ -520,7 +521,7 @@ def test_exact_match_reads_comments_and_keeps_literal_whitespace(
             ("SELECT name /* the 'name' */ FROM stadium WHERE name = 'North Arena'", True)):
         gateway = question_keyed_gateway({question: predicted})
         report = evaluate(samples, schemas, db_paths,
-                          PipelineConfig(skip_correction=True), gateway, parallelism=1)
+                          PipelineConfig(max_correction_attempts=0), gateway, parallelism=1)
         assert report.rows[0].exact_match is exact
 
 
@@ -727,7 +728,7 @@ def test_failed_candidate_repeated_in_a_group_runs_each_time(paired, monkeypatch
         monkeypatch, lambda text: True,
         outcome=lambda text: failed if text == candidate else None)
     group = [samples[0], samples[2]]
-    report = evaluate(group, schemas, db_paths, PipelineConfig(skip_correction=True),
+    report = evaluate(group, schemas, db_paths, PipelineConfig(max_correction_attempts=0),
                       question_keyed_gateway({s.question: candidate for s in group}),
                       parallelism=1)
     assert [(r.valid, r.ea) for r in report.rows] == [(False, False)] * 2
@@ -828,7 +829,7 @@ def test_candidate_of_another_program_runs(paired, executions, compiles,
     replies = ["select all COUNT(*) FROM concert",
                "select COUNT(*) FROM singer WHERE age > 0",
                "select count(*) FROM singer AS s"]
-    evaluate(group, schemas, db_paths, PipelineConfig(skip_correction=True),
+    evaluate(group, schemas, db_paths, PipelineConfig(max_correction_attempts=0),
              question_keyed_gateway({s.question: r for s, r in zip(group, replies)}),
              parallelism=1)
     assert executions == {"SELECT COUNT(*) FROM singer": 1, replies[0]: 1, replies[1]: 1}
@@ -848,7 +849,7 @@ def test_failed_costly_outcome_is_not_served_by_program(paired, monkeypatch,
         monkeypatch, lambda text: True,
         outcome=lambda text: failed if text == first else None)
     group = [samples[1], samples[4]]  # gold: stadiums in 'Leeds'
-    evaluate(group, schemas, db_paths, PipelineConfig(skip_correction=True),
+    evaluate(group, schemas, db_paths, PipelineConfig(max_correction_attempts=0),
              question_keyed_gateway({group[0].question: first,
                                      group[1].question: second}),
              parallelism=1)
@@ -984,6 +985,48 @@ def test_any_sql_reply_yields_a_row_and_a_report(reply, tmp_path, fixture_tables
     caplog.clear()
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
                       question_keyed_gateway({question: reply}), parallelism=1)
+    assert "crashed" not in caplog.text
+    assert len(report.rows) == 1
+    write_report(report, tmp_path / "out")
+    payload = json.loads((tmp_path / "out" / "report.json").read_bytes().decode("utf-8"))
+    assert payload["rows"][0]["final_sql"] == report.rows[0].final_sql
+
+
+class _OneRoleReplies(QuestionKeyedBackend):
+    """QuestionKeyedBackend, except that every call of ``role`` gets ``reply``."""
+
+    def __init__(self, role, reply, sql_by_question):
+        super().__init__(sql_by_question)
+        self.role, self.reply = role, reply
+
+    def complete(self, request, role=None):
+        if role != self.role:
+            return super().complete(request, role)
+        return ChatResponse(self.reply, prompt_tokens=1, completion_tokens=1)
+
+
+@given(role=st.sampled_from([role for role in AGENT_ROLES if role != "sql"]), reply=st.tuples(
+    st.sampled_from(["", "SELECT COUNT(*) FROM singer", "SELECT name FROM singer -- ",
+                     "1. SELECT '", '{"steps": ["', '{"tables": {"singer": ["',
+                     '{"codes": ["SCH-04"], "steps": ["']),
+    _reply_text,
+).map("".join))
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_reply_of_another_role_yields_a_row_and_a_report(role, reply, tmp_path,
+                                                             fixture_tables_file, db_root,
+                                                             caplog):
+    """The SQL stage's property above, for the other five roles."""
+    question, gold = DATASET[0]
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"question": question, "query": gold, "db_id": "music"}]))
+    samples, schemas, db_paths = load_dataset(str(path), fixture_tables_file, db_root)
+    # a wrong first candidate, so that the correction roles are asked too
+    first = "SELECT COUNT(*) FROM concert" if role.startswith("correction") else gold
+    gateway = Gateway(backends={"test": _OneRoleReplies(role, reply, {question: first})},
+                      route=ModelRoute.uniform("test", "fixture-model"))
+    caplog.clear()
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(), gateway, parallelism=1)
     assert "crashed" not in caplog.text
     assert len(report.rows) == 1
     write_report(report, tmp_path / "out")

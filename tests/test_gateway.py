@@ -126,12 +126,14 @@ def test_cache_key_matches_the_one_dump_reference(model_id, temperature, first, 
     assert cache_key(request) == reference_cache_key(request) == cache_key(request)
 
 
-def test_scripted_exact_match():
+def test_a_hand_written_replay_record_is_a_digest_keyed_fixture(tmp_path):
     request = make_request()
-    backend = ScriptedBackend(exact={cache_key(request): "fixture text"})
-    response = backend.complete(request, role="sql")
-    assert response.content == "fixture text"
-    assert response.backend_tag == "scripted"
+    (tmp_path / "replay.jsonl").write_text(json.dumps({
+        "key": cache_key(request), "prompt_tokens": 3, "completion_tokens": 2,
+        "content": "fixture text"}) + "\n", encoding="utf-8")
+    response = ReplayBackend(ScriptedBackend(), tmp_path).complete(request, role="sql")
+    assert (response.content, response.prompt_tokens, response.backend_tag) \
+        == ("fixture text", 3, "replay")
 
 
 def test_scripted_ordered_fallback():

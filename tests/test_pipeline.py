@@ -154,19 +154,19 @@ def test_attempt_bound_holds_for_any_budget(music_schema, fixture_db):
         assert result.trace.status == "exhausted"
 
 
-def test_skip_correction(music_schema, fixture_db):
+def test_zero_correction_budget_runs_no_round(music_schema, fixture_db):
     gateway = scripted_gateway([WRONG])
-    result = run(music_schema, fixture_db, gateway, skip_correction=True)
+    result = run(music_schema, fixture_db, gateway, max_correction_attempts=0)
     assert result.trace.status == "exhausted"
     assert stage_roles(result) == ["schema_linking", "subproblem", "query_plan", "sql"]
     assert len(result.trace.attempts) == 1
 
 
-def test_skip_correction_identical_on_success(music_schema, fixture_db):
+def test_zero_correction_budget_identical_on_success(music_schema, fixture_db):
     """Correction path is dead code when the first try is correct."""
     full = run(music_schema, fixture_db, scripted_gateway([CORRECT]))
     ablated = run(music_schema, fixture_db, scripted_gateway([CORRECT]),
-                  skip_correction=True)
+                  max_correction_attempts=0)
     assert full.final_sql == ablated.final_sql
     assert full.ea == ablated.ea
     assert stage_roles(full) == stage_roles(ablated)
@@ -202,11 +202,18 @@ def test_execution_error_only_accepts_wrong_but_valid(music_schema, fixture_db):
     assert len(result.trace.attempts) == 1
 
 
-def test_gold_mismatch_requires_gold(music_schema, fixture_db):
+@pytest.mark.parametrize("first, fixes, attempts", [
+    (WRONG, [], 1),  # valid but wrong: without a gold there is no mismatch
+    ("SELECT namee FROM singer", ["SELECT name FROM singer"], 2),
+])
+def test_gold_mismatch_without_gold_corrects_only_failures(music_schema, fixture_db,
+                                                           first, fixes, attempts):
     config = PipelineConfig(correction_trigger="gold_mismatch")
-    with pytest.raises(ValueError):
-        run_pipeline_once(QUESTION, music_schema, fixture_db, config,
-                          scripted_gateway([CORRECT]))
+    gateway = scripted_gateway([first], correction_sql_responses=fixes)
+    result = run_pipeline_once(QUESTION, music_schema, fixture_db, config, gateway)
+    assert len(result.trace.attempts) == attempts
+    assert stage_roles(result).count("correction_plan") == attempts - 1
+    assert result.ea is None and result.trace.status == "solved"
 
 
 def test_stage_error_trace_complete(music_schema, fixture_db):
@@ -281,7 +288,7 @@ def test_a_timed_out_gold_runs_again_for_the_groups_next_sample(music_schema, fi
     monkeypatch.setattr(pipeline, "execute", slow_once)
     gateway = scripted_gateway([candidate, candidate])
     memo = pipeline.OutcomeMemo(canonical_sql(GOLD))
-    config = PipelineConfig(skip_correction=True)
+    config = PipelineConfig(max_correction_attempts=0)
     first, second = [run_pipeline_once(QUESTION, music_schema, fixture_db, config, gateway,
                                        gold_query=GOLD, memo=memo) for _ in range(2)]
     assert calls == [GOLD, candidate, GOLD]  # the candidate's success is kept
@@ -375,7 +382,7 @@ def test_trace_line_decodes_equal_to_asdict(tmp_path, music_schema, fixture_db):
     gateway = scripted_gateway([WRONG], correction_sql_responses=[CORRECT])
     trace = run(music_schema, fixture_db, gateway).trace
     trace.stages[0].warnings.append("naïve \ud800 warning")
-    trace.add_warning("trace-level ☃")
+    trace.warnings.append("trace-level ☃")
     path = tmp_path / "trace.jsonl"
     with AppendLog(path) as log:
         append_trace([trace], log)
