@@ -274,27 +274,17 @@ def run_schema_linking(question, schema, gateway, trace, templates) -> LinkedSch
             notes=str(payload.get("notes", "")),
         )
         violations = validate_linked_schema(schema, link)
-        dropped = []
-        for v in violations:
-            if v.severity != "error":
-                trace.warnings.append(f"schema_linking: {v}")
-                continue
-            dropped.append(str(v))
-            if v.kind == "unknown-table":
-                link.kept.pop(v.entity, None)
-            elif v.kind == "unknown-column":
-                tname, cname = v.entity.rsplit(".", 1)
-                if tname in link.kept and cname in link.kept[tname]:
-                    link.kept[tname].remove(cname)
-                link.join_edges = [
-                    e for e in link.join_edges
-                    if v.entity not in (
-                        f"{e.src_table}.{e.src_column}", f"{e.dst_table}.{e.dst_column}"
-                    )
-                ]
-        link.kept = {t: c for t, c in link.kept.items() if c}
-        for entity in dropped:
-            trace.warnings.append(f"schema_linking: dropped {entity}")
+        trace.warnings.extend(
+            f"schema_linking: {v}" for v in violations if v.severity != "error")
+        trace.warnings.extend(
+            f"schema_linking: dropped {v}" for v in violations if v.severity == "error")
+        kept = {t: [c for c in cols if schema.has_column(t, c)] for t, cols in kept.items()}
+        link.kept = {t: cols for t, cols in kept.items() if cols}
+        link.join_edges = [
+            e for e in edges
+            if schema.has_column(e.src_table, e.src_column)
+            and schema.has_column(e.dst_table, e.dst_column)
+        ]
         if not link.kept:
             raise ValueError("no valid tables/columns remained after validation")
         return link
@@ -309,8 +299,6 @@ def run_schema_linking(question, schema, gateway, trace, templates) -> LinkedSch
 
 def run_subproblem(question, schema_text, gateway, trace, templates) -> SubproblemSet:
     """Decompose the question into clause-level subproblems."""
-    canonical = {k: k for k in CLAUSE_KEYS}
-
     def parse(content):
         payload = structured_payload(content)
         if not isinstance(payload, dict):
@@ -318,7 +306,7 @@ def run_subproblem(question, schema_text, gateway, trace, templates) -> Subprobl
         clauses = {}
         for key, value in payload.items():
             norm = str(key).upper().replace("_", " ").strip()
-            if norm not in canonical:
+            if norm not in CLAUSE_KEYS:
                 trace.warnings.append(f"subproblem: dropped unknown clause key {key!r}")
                 continue
             text = str(value).strip()

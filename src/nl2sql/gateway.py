@@ -190,6 +190,45 @@ def read_replay_log(cache_dir) -> dict:
     return records
 
 
+class SingleFlight:
+    """A table of values by key, each made by one caller at a time.
+
+    ``values`` is the dict the table keeps; reading it needs no lock. One
+    condition guards the making: a caller that finds its key being made
+    waits for that maker to end, then looks again.
+    """
+
+    def __init__(self, values):
+        self.values = values
+        self._cond = threading.Condition()
+        self._making = set()  # keys a caller is making
+
+    def get(self, key, make, take=None, keep=None):
+        """The kept value of ``key`` when ``take`` accepts it (None takes
+        any); otherwise the one ``make()`` returns, kept when it is not None
+        and ``keep`` accepts it (None keeps any). When ``make`` raises, the
+        next waiter makes the value again."""
+        with self._cond:
+            while True:
+                kept = self.values.get(key)
+                if kept is not None and (take is None or take(kept)):
+                    return kept
+                if key not in self._making:
+                    break
+                self._cond.wait()
+            self._making.add(key)
+        value = None
+        try:
+            value = make()
+            return value
+        finally:
+            with self._cond:
+                self._making.discard(key)
+                if value is not None and (keep is None or keep(value)):
+                    self.values[key] = value
+                self._cond.notify_all()
+
+
 class ReplayBackend:
     """Cache wrapper over one append-only log, ``<cache_dir>/replay.jsonl``.
 
@@ -197,11 +236,12 @@ class ReplayBackend:
     content byte-identically without touching the disk; a miss delegates to
     the inner backend and appends one record to the log (``jsonl.AppendLog``:
     opened at the first miss, closed by ``close`` or when the backend is
-    collected).
+    collected). Every reply is built from its record, so a miss returns
+    what a later hit will.
 
     Concurrent misses on one key make one inner call: the first caller
-    makes it and the rest wait for its record (single-flight). If that call
-    raises, each waiter makes its own call, and nothing is recorded.
+    makes it and the rest wait for its record (``SingleFlight``). If that
+    call raises, the next waiter calls again and the others take its record.
     """
 
     tag = "replay"
@@ -210,25 +250,16 @@ class ReplayBackend:
         self.inner = inner
         self.cache_dir = str(cache_dir)
         self.path = replay_log_path(self.cache_dir)
-        self._records = read_replay_log(self.cache_dir)
+        self._records = SingleFlight(read_replay_log(self.cache_dir))
         self._log = jsonl.AppendLog(self.path)
-        self._flights = {}  # cache_key -> Event set when its inner call ends
-        self._lock = threading.Lock()
 
     def close(self) -> None:
         """Close the log descriptor; a later miss opens it again."""
         self._log.close()
 
-    def _response(self, record) -> ChatResponse:
-        return ChatResponse(
-            content=record["content"],
-            prompt_tokens=record["prompt_tokens"],
-            completion_tokens=record["completion_tokens"],
-            backend_tag=self.tag,
-        )
-
-    def _call(self, key, request, role) -> ChatResponse:
-        """Ask the inner backend and append its reply to the log."""
+    def _call(self, key, request, role) -> dict:
+        """Ask the inner backend, append its reply to the log and return
+        the record."""
         resp = self.inner.complete(request, role)
         record = {
             "key": key,
@@ -239,35 +270,20 @@ class ReplayBackend:
             "source_tag": resp.backend_tag,
             "content": resp.content,
         }
-        with self._lock:
-            if key not in self._records:
-                self._log.append(record)
-                self._records[key] = record
-        return resp
+        self._log.append(record)
+        return record
 
     def complete(self, request: ChatRequest, role: str | None = None) -> ChatResponse:
         key = cache_key(request)
-        record = self._records.get(key)
+        record = self._records.values.get(key)
         if record is None:
-            with self._lock:
-                record = self._records.get(key)
-                flight = self._flights.get(key)
-                leader = record is None and flight is None
-                if leader:
-                    flight = self._flights[key] = threading.Event()
-            if leader:
-                try:
-                    return self._call(key, request, role)
-                finally:
-                    with self._lock:
-                        del self._flights[key]
-                    flight.set()
-            if record is None:
-                flight.wait()
-                record = self._records.get(key)
-                if record is None:  # the leader's call raised
-                    return self._call(key, request, role)
-        return self._response(record)
+            record = self._records.get(key, lambda: self._call(key, request, role))
+        return ChatResponse(
+            content=record["content"],
+            prompt_tokens=record["prompt_tokens"],
+            completion_tokens=record["completion_tokens"],
+            backend_tag=self.tag,
+        )
 
 
 class RemoteBackend:

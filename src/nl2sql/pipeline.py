@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import agents, jsonl
+from .gateway import SingleFlight
 from .schema import render_schema_text
 from .execution import (
     SanitizeError,
@@ -113,31 +114,37 @@ class PipelineResult:
     trace: PipelineTrace
 
 
+def _succeeded(outcome):
+    return outcome.status == "success"
+
+
+def _finished(outcome):
+    return outcome.status != "timeout"
+
+
 class OutcomeMemo:
     """ExecutionOutcomes of one gold group's queries on one database file,
     by ``canonical_sql`` form, shared by the run_pipeline calls of the
-    group's samples on any thread and any connection to that file. One lock
-    guards it; a condition over that lock only waits and notifies.
+    group's samples on any thread and any connection to that file.
 
     ``gold_form`` is the ``canonical_sql`` form of the gold query as
     run_pipeline executes it (``gold_sql``). The gold's outcome is kept
     unless it timed out, a candidate's only when it succeeds. A form is run
-    by one caller at a time: a caller that finds its form running waits for
-    that run to end, then takes the kept outcome if it may (the gold a
-    success or a failure, a candidate only a success) and otherwise runs
-    the query itself.
+    by one caller at a time (``gateway.SingleFlight``): a caller that finds
+    its form running waits for that run to end, then takes the kept outcome
+    if it may (the gold a success or a failure, a candidate only a success)
+    and otherwise runs the query itself.
 
     A costly success (see ``COSTLY_EXECUTE_CPU_S``) is also kept by the
     program SQLite compiles it to: it waits in ``_uncompiled`` until a
-    candidate misses by form, and then goes into ``_by_program``.
+    candidate misses by form, and then goes into ``_by_program``. One lock
+    guards those two.
     """
 
     def __init__(self, gold_form=None):
         self.gold_form = gold_form
+        self._outcomes = SingleFlight({})  # form -> kept outcome
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._outcomes = {}  # form -> kept outcome
-        self._running = set()  # forms a caller is running
         self._uncompiled = []  # (query, outcome) of costly successes
         self._by_program = {}  # compiled program -> costly success
 
@@ -146,26 +153,9 @@ class OutcomeMemo:
         caller may take it, otherwise the one ``run()`` returns, which is
         kept when it succeeds, or when ``gold`` is set and it did not time
         out: a slow moment does not fail the rest of the group."""
-        with self._lock:
-            while True:
-                kept = self._outcomes.get(form)
-                if kept is not None and (gold or kept.status == "success"):
-                    return kept
-                if form not in self._running:
-                    break
-                self._cond.wait()
-            self._running.add(form)
-        outcome = None
-        try:
-            outcome = run()
-            return outcome
-        finally:
-            with self._lock:
-                self._running.discard(form)
-                if outcome is not None and (outcome.status == "success" or (
-                        gold and outcome.status != "timeout")):
-                    self._outcomes[form] = outcome
-                self._cond.notify_all()
+        if gold:
+            return self._outcomes.get(form, run, keep=_finished)
+        return self._outcomes.get(form, run, take=_succeeded, keep=_succeeded)
 
     def add_costly(self, query, outcome, compiled=None):
         """Keep the costly success ``outcome`` of ``query``, by ``compiled``

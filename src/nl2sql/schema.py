@@ -44,18 +44,14 @@ class DatabaseSchema:
     tables: tuple = ()
     foreign_keys: tuple = ()
 
-    def table(self, name):
-        entry = self._index.get(name.lower())
-        return None if entry is None else entry[0]
-
     def has_column(self, table, column):
         entry = self._index.get(table.lower())
-        return entry is not None and column.lower() in entry[1]
+        return entry is not None and column.lower() in entry[0]
 
     @functools.cached_property
     def _index(self) -> dict:
-        """Lowercase table name -> (table, {lowercase column name: logical
-        type}, lowercase primary keys), built at its first use. The first
+        """Lowercase table name -> ({lowercase column name: logical type},
+        lowercase primary keys), built at its first use. The first
         table and the first column of a name win."""
         index = {}
         for t in self.tables:
@@ -63,7 +59,7 @@ class DatabaseSchema:
             for cname, ctype in t.columns:
                 columns.setdefault(cname.lower(), ctype)
             index.setdefault(t.name.lower(),
-                             (t, columns, {p.lower() for p in t.primary_keys}))
+                             (columns, {p.lower() for p in t.primary_keys}))
         return index
 
     @functools.cached_property
@@ -342,9 +338,9 @@ def _render_full(schema: DatabaseSchema) -> str:
 
 def _render_linked(link: LinkedSchema, parent: DatabaseSchema | None) -> str:
     blocks = []
-    unknown = (None, {}, frozenset())  # a table the parent does not have
+    unknown = ({}, frozenset())  # a table the parent does not have
     for tname, cols in link.kept.items():
-        _, columns, primary_keys = parent._index.get(tname.lower(), unknown) if parent else unknown
+        columns, primary_keys = parent._index.get(tname.lower(), unknown) if parent else unknown
         lines = [f"CREATE TABLE {tname} ("]
         body = []
         for cname in cols:
@@ -380,7 +376,7 @@ def validate_linked_schema(parent: DatabaseSchema, link: LinkedSchema) -> list:
             violations.append(Violation("unknown-table", tname))
             continue
         for cname in cols:
-            if cname.lower() not in entry[1]:
+            if cname.lower() not in entry[0]:
                 violations.append(Violation("unknown-column", f"{tname}.{cname}"))
     for edge in link.join_edges:
         for tbl, col in ((edge.src_table, edge.src_column), (edge.dst_table, edge.dst_column)):

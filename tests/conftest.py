@@ -13,6 +13,9 @@ from nl2sql.execution import connect_readonly, execute
 from nl2sql.gateway import Gateway, ModelRoute, ScriptedBackend
 from nl2sql.pipeline import run_pipeline
 
+# No deadline in any profile: a property's runtime on a loaded host says
+# nothing about its correctness, so tier-1 and CI check the same properties.
+settings.register_profile("default", deadline=None)
 # HYPOTHESIS_PROFILE=ci: the same examples on every run, and more of them
 # where a test does not set its own count.
 settings.register_profile("ci", derandomize=True, max_examples=300, deadline=None)
@@ -296,6 +299,28 @@ class QuestionKeyedBackend:
             completion_tokens=max(1, len(content) // 4),
             backend_tag=self.tag,
         )
+
+
+class WaitCountingCondition(threading.Condition):
+    """A condition that counts the waits begun on it, so a test can hold a
+    thread until others are waiting."""
+
+    def __init__(self):
+        super().__init__()
+        self.waits = 0
+        self._counted = threading.Condition()
+
+    def wait(self, timeout=None):
+        with self._counted:
+            self.waits += 1
+            self._counted.notify_all()
+        return super().wait(timeout)
+
+    def reached(self, waits, timeout=30):
+        """True once ``waits`` waits have begun; False after ``timeout``
+        seconds without."""
+        with self._counted:
+            return self._counted.wait_for(lambda: self.waits >= waits, timeout)
 
 
 class CallCountingBackend:

@@ -23,7 +23,7 @@ from nl2sql.agents import (
     structured_payload,
 )
 from nl2sql.pipeline import PipelineTrace
-from nl2sql.schema import render_schema_text
+from nl2sql.schema import ForeignKey, render_schema_text
 from nl2sql.taxonomy import default_taxonomy
 
 from conftest import (
@@ -247,6 +247,25 @@ def test_schema_linking_drops_unknown_column_with_warning(music_schema, trace):
     )
     assert link.kept == {"singer": ["name"]}
     assert any("singer.agee" in w for w in trace.warnings)
+
+
+def test_schema_linking_drops_qualified_names_it_warns_about(music_schema, trace):
+    payload = json.dumps({
+        "tables": {"singer": ["singer.name", "age"], "album": ["singer_id"]},
+        "joins": [["album", "singer_id", "singer", "singer.id"],
+                  ["album", "singer_id", "singer", "id"]],
+    })
+    gateway = scripted_gateway([], schema_linking=[payload])
+    link = run_schema_linking(
+        "q", music_schema, gateway, trace, load_default_templates()
+    )
+    assert link.kept == {"singer": ["age"], "album": ["singer_id"]}
+    assert link.join_edges == [ForeignKey("album", "singer_id", "singer", "id")]
+    assert trace.warnings == [
+        "schema_linking: dropped unknown-column: singer.singer.name",
+        "schema_linking: dropped unknown-column: singer.singer.id",
+    ]
+    assert "singer.name" not in render_schema_text(link, parent=music_schema)
 
 
 def test_schema_linking_reasks_then_errors(music_schema, trace):

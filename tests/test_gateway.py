@@ -29,7 +29,7 @@ from nl2sql.gateway import (
     replay_log_path,
 )
 
-from conftest import CallCountingBackend
+from conftest import CallCountingBackend, WaitCountingCondition
 
 
 def make_request(**kw):
@@ -145,12 +145,13 @@ def test_scripted_ordered_fallback():
 
 
 def test_replay_hit_is_byte_identical(tmp_path):
-    inner = ScriptedBackend(scripts={"sql": ["résumé ☃ content"]})
+    inner = CallCountingBackend(ScriptedBackend(scripts={"sql": ["résumé ☃ content"]}))
     backend = ReplayBackend(inner, tmp_path / "cache")
     request = make_request()
     first = backend.complete(request, role="sql")
-    assert first.backend_tag == "scripted"
+    assert inner.calls == 1  # a miss
     second = backend.complete(request, role="sql")
+    assert inner.calls == 1  # a hit
     assert second.backend_tag == "replay"
     assert second.content == first.content
     assert second.content.encode("utf-8") == first.content.encode("utf-8")
@@ -277,8 +278,41 @@ def test_replay_single_flight_leader_error_releases_waiters(tmp_path):
     errors = [o for o in outcomes if isinstance(o, TransportError)]
     assert len(errors) == 1
     assert sorted(o for o in outcomes if isinstance(o, str)) == ["SELECT 1"] * 3
-    assert 2 <= inner.calls <= 4  # each waiter called for itself
+    assert inner.calls == 2  # one waiter called again, the others took its record
     assert len(read_replay_log(tmp_path / "cache")) == 1  # the error was not cached
+
+
+def test_replay_waiters_take_the_one_retry_after_a_failed_lead(tmp_path):
+    cond = WaitCountingCondition()
+    gates = []  # whether each inner call saw the waits it holds out for
+    lock = threading.Lock()
+
+    class FailThenSlow:
+        """Call 1 raises once the three other callers wait for it; call n > 1
+        returns ``SELECT n`` once the other two wait again, for it."""
+
+        def complete(self, request, role=None):
+            with lock:
+                gates.append(None)
+                number = len(gates)
+            if number == 1:
+                gates[0] = cond.reached(3)
+                raise TransportError("upstream reset")
+            gates[number - 1] = cond.reached(5)
+            return ChatResponse(content=f"SELECT {number}", prompt_tokens=3,
+                                completion_tokens=2, backend_tag="remote")
+
+    backend = ReplayBackend(FailThenSlow(), tmp_path / "cache")
+    backend._records._cond = cond
+    threads, outcomes = _complete_in_threads(backend)
+    for thread in threads:
+        thread.join(30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert gates == [True, True]  # exactly 2 inner calls
+    (record,) = read_replay_log(tmp_path / "cache").values()
+    assert (record["content"], record["source_tag"]) == ("SELECT 2", "remote")
+    assert [o for o in outcomes if isinstance(o, str)] == [record["content"]] * 3
+    assert sum(isinstance(o, TransportError) for o in outcomes) == 1
 
 
 class FakeResponse:

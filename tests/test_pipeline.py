@@ -16,7 +16,7 @@ from nl2sql.pipeline import (
     load_traces,
 )
 
-from conftest import run_pipeline_once, scripted_gateway
+from conftest import WaitCountingCondition, run_pipeline_once, scripted_gateway
 
 QUESTION = "How many singers do we have?"
 GOLD = "SELECT COUNT(*) FROM singer"
@@ -296,18 +296,6 @@ def test_a_timed_out_gold_runs_again_for_the_groups_next_sample(music_schema, fi
     assert second.ea is True and second.trace.status == "solved"
 
 
-class _SignallingCondition(threading.Condition):
-    """A condition that sets ``waiting`` each time a thread waits on it."""
-
-    def __init__(self, lock):
-        super().__init__(lock)
-        self.waiting = threading.Event()
-
-    def wait(self, timeout=None):
-        self.waiting.set()
-        return super().wait(timeout)
-
-
 @pytest.mark.parametrize("failed", [
     ExecutionOutcome.failure("missing_entity", "no such column: nope"),
     ExecutionOutcome.timeout(),
@@ -315,7 +303,7 @@ class _SignallingCondition(threading.Condition):
 @pytest.mark.parametrize("gold", [False, True])
 def test_a_waiter_on_a_failed_run_runs_a_candidate_again_and_takes_the_gold(failed, gold):
     memo = pipeline.OutcomeMemo("select nope from singer")
-    memo._cond = cond = _SignallingCondition(memo._lock)
+    memo._outcomes._cond = cond = WaitCountingCondition()
     running, release = threading.Event(), threading.Event()
     fixed = ExecutionOutcome.success([(6,)], 1)
     got, runs = {}, []
@@ -336,7 +324,7 @@ def test_a_waiter_on_a_failed_run_runs_a_candidate_again_and_takes_the_gold(fail
         "waiter", memo.outcome("select nope from singer",
                                lambda: runs.append(1) or fixed, gold=gold)))
     waiter.start()
-    assert cond.waiting.wait(timeout=30)  # the waiter found the form running
+    assert cond.reached(1)  # the waiter found the form running
     release.set()
     for t in (thread, waiter):
         t.join(timeout=30)
