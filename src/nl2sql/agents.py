@@ -212,8 +212,8 @@ def looks_like_sql_statement(step: str) -> bool:
 
 
 def _complete(gateway, role, messages):
-    """One gateway call; a GatewayError (retries spent, auth, no fixture)
-    fails the stage like an unparseable reply does."""
+    """One gateway call; a GatewayError (retries spent, no fixture) fails
+    the stage like an unparseable reply does."""
     try:
         return gateway.complete_for_role(role, messages)
     except GatewayError as exc:

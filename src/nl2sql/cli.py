@@ -4,8 +4,8 @@ inspection, taxonomy listing, and cache management.
 Configuration precedence: flag > config file > built-in default. Secrets
 (API keys) come only from environment variables.
 
-Exit codes: 0 success, 1 usage error, 2 data/load error, 3 run completed
-with stage errors present.
+Exit codes: 0 success, 1 usage error, 2 data/load error or credentials
+missing or rejected, 3 run completed with stage errors present.
 """
 
 import argparse
@@ -21,6 +21,7 @@ from . import agents, evalkit
 from .execution import connect_readonly
 from .gateway import (
     AGENT_ROLES,
+    AuthError,
     Gateway,
     ModelRoute,
     RemoteBackend,
@@ -430,7 +431,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (OSError, SchemaError, evalkit.DatasetError) as exc:
+    except (OSError, SchemaError, evalkit.DatasetError, AuthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -2,7 +2,7 @@
 runs with checkpointing, and execution-accuracy reporting.
 
 Per-sample isolation: one sample's crash is contained and scored false;
-long runs never die mid-batch.
+only missing or rejected credentials stop a batch.
 """
 
 import collections
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
 from . import jsonl
-from .execution import canonical_sql, connect_readonly
+from .execution import canonical_sql, connect_readonly, larger_than_cache
+from .gateway import AuthError
 from .pipeline import OutcomeMemo, append_trace, gold_sql, run_pipeline
 
 logger = logging.getLogger(__name__)
@@ -187,6 +188,8 @@ def _run_one(sample, schema, connection, config, gateway, prices, memo) -> tuple
             gold_query=sample.gold_query, sample_id=str(sample.index),
             memo=memo,
         )
+    except AuthError:
+        raise  # no sample can be scored: the run stops
     except Exception:  # per-sample isolation: score and continue
         return _crash_row(sample), None
     final_sql = result.final_sql.text if result.final_sql else ""
@@ -265,11 +268,11 @@ class _Group:
         self._memo = None
         self._lock = threading.Lock()
 
-    def start(self) -> OutcomeMemo:
-        """The group's memo, made when its first sample starts."""
+    def start(self, by_program) -> OutcomeMemo:
+        """The group's memo, ``OutcomeMemo(gold_key, by_program)`` when made."""
         with self._lock:
             if self._memo is None:
-                self._memo = OutcomeMemo(self.gold_key)
+                self._memo = OutcomeMemo(self.gold_key, by_program)
             return self._memo
 
     def end(self) -> None:
@@ -309,17 +312,21 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     A worker runs its queries on one read-only connection while its next
     sample is on the same database, and closes it before it opens one on
     another database or when it runs out of samples, so at most
-    ``parallelism`` connections are open. The database files must not
-    change during the run. When a database cannot be opened, the sample is
-    logged and scored as a crash, and the worker's next sample tries again.
+    ``parallelism`` connections are open; a memo it makes matches by program
+    when ``execution.larger_than_cache`` holds for the connection. The
+    database files must not change during the run. When a database cannot
+    be opened, the sample is logged and scored as a crash, and the worker's
+    next sample tries again.
 
     Resumable: rows already in the checkpoint file are not re-run, so an
     interrupted batch picks up where it stopped. When a worker leaves a
     group, the trace lines and then the checkpoint rows of the samples it
     ran of that group are written, one write each; samples cut off before
-    then run again when the batch resumes. The checkpoint and trace files
-    are opened, and created if missing, when the run starts, and closed
-    before this returns.
+    then run again when the batch resumes. An AuthError (credentials
+    missing or rejected) is raised once the workers stop, and writes no line
+    for the samples it cut off. The checkpoint and trace files are opened,
+    and created if missing, when the run starts, and closed before this
+    returns.
     """
     prices = prices or {}
     done = _read_checkpoint(checkpoint_path)
@@ -377,9 +384,10 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
                         group.end()
                         continue
                     db_id = sample.db_id
+                    large = larger_than_cache(connection)
                 try:
                     ran.append(_run_one(sample, schemas[db_id], connection, config,
-                                        gateway, prices, group.start()))
+                                        gateway, prices, group.start(large)))
                 finally:
                     group.end()
         except BaseException:

@@ -264,6 +264,19 @@ def connect_readonly(db_file) -> sqlite3.Connection:
     return conn
 
 
+def larger_than_cache(connection) -> bool:
+    """Whether the database of ``connection`` holds more bytes than the
+    connection's page cache (``cache_size``: pages if positive, else KiB);
+    False when SQLite cannot read the file as a database."""
+    try:
+        (pages,), (page_size,), (cache,) = (
+            connection.execute(f"PRAGMA {name}").fetchone()
+            for name in ("page_count", "page_size", "cache_size"))
+    except sqlite3.Error:
+        return False
+    return pages * page_size > (cache * page_size if cache > 0 else -cache * 1024)
+
+
 class _Deadlines:
     """Interrupts each armed connection at its deadline, from one daemon
     thread that starts at the first ``arm``.

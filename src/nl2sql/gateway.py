@@ -50,8 +50,9 @@ class RateLimitError(TransportError):
         self.retry_after = retry_after
 
 
-class AuthError(GatewayError):
-    """Fatal: bad or missing credentials."""
+class AuthError(Exception):
+    """Fatal: bad or missing credentials. Not a GatewayError: it stops the
+    run instead of failing one stage."""
 
 
 class ScriptedMissError(GatewayError):

@@ -8,7 +8,6 @@ samples of one gold group, an OutcomeMemo.
 
 import hashlib
 import threading
-import time
 from dataclasses import dataclass, field
 
 from . import agents, jsonl
@@ -21,20 +20,13 @@ from .execution import (
     compare_results,
     execute,
     has_top_level_order_by,
+    larger_than_cache,
     program,
     sanitize,
 )
 from .taxonomy import default_taxonomy
 
 TRIGGER_MODES = ("execution_error_only", "gold_mismatch")
-
-# A success whose execute call took at least this much of the worker
-# thread's CPU may serve a later candidate by its compiled program. Measured
-# on a shared 2-vCPU host: an EXPLAIN costs about 55 µs; the queries of the
-# benchmark's small (Spider-sized) databases take at most 0.63 ms, so they
-# are never compiled; on its large databases the costly queries take at
-# least 3.3 ms, and the queries of the product table about 1 ms.
-COSTLY_EXECUTE_CPU_S = 0.002
 
 
 @dataclass
@@ -118,10 +110,6 @@ def _succeeded(outcome):
     return outcome.status == "success"
 
 
-def _finished(outcome):
-    return outcome.status != "timeout"
-
-
 class OutcomeMemo:
     """ExecutionOutcomes of one gold group's queries on one database file,
     by ``canonical_sql`` form, shared by the run_pipeline calls of the
@@ -135,18 +123,17 @@ class OutcomeMemo:
     if it may (the gold a success or a failure, a candidate only a success)
     and otherwise runs the query itself.
 
-    A costly success (see ``COSTLY_EXECUTE_CPU_S``) is also kept by the
-    program SQLite compiles it to: it waits in ``_uncompiled`` until a
-    candidate misses by form, and then goes into ``_by_program``. One lock
-    guards those two.
+    With ``by_program`` set, as for a database larger than its page cache
+    (``execution.larger_than_cache``), ``run`` compiles each query before it
+    runs (``execution.program``): a success kept for that program serves
+    it, and a success it runs is kept by its program under ``_lock``.
     """
 
-    def __init__(self, gold_form=None):
+    def __init__(self, gold_form=None, by_program=False):
         self.gold_form = gold_form
         self._outcomes = SingleFlight({})  # form -> kept outcome
         self._lock = threading.Lock()
-        self._uncompiled = []  # (query, outcome) of costly successes
-        self._by_program = {}  # compiled program -> costly success
+        self._programs = {} if by_program else None  # compiled program -> success
 
     def outcome(self, form, run, gold=False):
         """The outcome for the query of ``form``: the kept one when the
@@ -154,34 +141,23 @@ class OutcomeMemo:
         kept when it succeeds, or when ``gold`` is set and it did not time
         out: a slow moment does not fail the rest of the group."""
         if gold:
-            return self._outcomes.get(form, run, keep=_finished)
+            return self._outcomes.get(form, run, keep=lambda kept: kept.status != "timeout")
         return self._outcomes.get(form, run, take=_succeeded, keep=_succeeded)
 
-    def add_costly(self, query, outcome, compiled=None):
-        """Keep the costly success ``outcome`` of ``query``, by ``compiled``
-        when its program is known already."""
-        with self._lock:
-            if compiled is None:
-                self._uncompiled.append((query, outcome))
-            else:
-                self._by_program[compiled] = outcome
-
-    def by_program(self, connection, query):
-        """(the program ``query`` compiles to on ``connection``, the costly
-        success kept for that program or None). Nothing is compiled, and
-        both are None, while no costly success is kept; each kept one is
-        compiled once."""
-        with self._lock:
-            if not (self._uncompiled or self._by_program):
-                return None, None
-            while self._uncompiled:  # a text that no longer compiles goes under None
-                stored, outcome = self._uncompiled.pop()
-                self._by_program.setdefault(program(connection, stored), outcome)
-        compiled = program(connection, query)
-        if compiled is None:
-            return None, None
-        with self._lock:
-            return compiled, self._by_program.get(compiled)
+    def run(self, connection, query, timeout):
+        """The outcome of executing ``query`` on ``connection``: a success
+        kept for its program, when there is one."""
+        compiled = None if self._programs is None else program(connection, query)
+        if compiled is not None:
+            with self._lock:
+                served = self._programs.get(compiled)
+            if served is not None:
+                return served
+        outcome = execute(connection, query, timeout=timeout)
+        if compiled is not None and _succeeded(outcome):
+            with self._lock:
+                self._programs[compiled] = outcome
+        return outcome
 
 
 def gold_sql(gold_query: str) -> SqlQuery:
@@ -191,14 +167,14 @@ def gold_sql(gold_query: str) -> SqlQuery:
     return SqlQuery(gold_query.strip().rstrip(";"))
 
 
-def _feedback_text(outcome, ea, gold_present) -> str:
+def _feedback_text(outcome, ea) -> str:
     if outcome is None:
         return "the response did not contain an executable SQL statement"
     if outcome.status == "timeout":
         return "execution timed out"
     if outcome.status == "failure":
         return f"{outcome.error_kind} error: {outcome.message}"
-    if gold_present and ea is False:
+    if ea is False:
         sample = outcome.rows[:5]
         return (
             "the query executed without error but returned a wrong result: "
@@ -218,7 +194,9 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     correction_sql, sanitize, execute until the trigger stops firing, the
     round budget is spent, or a round would resend an earlier round's
     feedback on a failed query of the same ``canonical_sql`` form. Without
-    ``gold_query`` both triggers fire only on a candidate that did not succeed.
+    ``gold_query``, or when the gold did not succeed, there is no verdict
+    (``ea`` None), and both triggers fire only on a candidate that did not
+    succeed.
 
     Every query runs on ``connection``, from ``execution.connect_readonly``
     and owned by the caller, who closes it.
@@ -241,13 +219,13 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     an earlier attempt, the same query up to ASCII case outside quoted
     tokens, whitespace and comments. The flag only marks the attempt.
 
-    A success whose ``execute`` call took at least ``COSTLY_EXECUTE_CPU_S``
-    of this thread's CPU can also serve a candidate of another form that
-    compiles to the same program (``execution.program``): table aliases
-    added or dropped, ``AS``, qualified columns, ``SELECT ALL``. A
-    candidate is compiled only when it misses by form while the memo holds
-    such a success, and each stored success at most once, so queries
-    cheaper than a compile never pay for one. This is sound: two texts with
+    On a database larger than the connection's page cache
+    (``execution.larger_than_cache``, decided for a memo made here and when
+    ``evaluate`` makes one), a success also serves a query of another form
+    that compiles to the same program (``execution.program``): table
+    aliases added or dropped, ``AS``, qualified columns, ``SELECT ALL``. A
+    query that misses by form, the gold too, is compiled before it runs; on
+    a smaller database nothing is compiled. This is sound: two texts with
     one program read the same rows of one database file that does not
     change during the run, in the same order and with the same column
     count, whichever connection to that file compiled or ran them. Their
@@ -259,38 +237,23 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     trace = PipelineTrace(sample_id=sample_id or question[:48])
     gold = gold_sql(gold_query) if gold_query else None
     if memo is None:
-        memo = OutcomeMemo(None if gold is None else canonical_sql(gold.text))
+        memo = OutcomeMemo(None if gold is None else canonical_sql(gold.text),
+                           larger_than_cache(connection))
 
-    def run(query, compiled=None):
-        """Executes ``query``; a costly success is kept for matching by its
-        program, ``compiled`` when that is known already."""
-        started, started_cpu = time.perf_counter(), time.thread_time()
-        outcome = execute(connection, query, timeout=config.timeout)
-        # a thread's CPU time never outruns wall time, and perf_counter,
-        # unlike thread_time, needs no system call
-        if (outcome.status == "success"
-                and time.perf_counter() - started >= COSTLY_EXECUTE_CPU_S
-                and time.thread_time() - started_cpu >= COSTLY_EXECUTE_CPU_S):
-            memo.add_costly(query, outcome, compiled)
-        return outcome
-
-    order_sensitive = False
-    gold_outcome = None
+    scored = order_sensitive = False
     if gold is not None:
-        gold_outcome = memo.outcome(memo.gold_form, lambda: run(gold), gold=True)
+        gold_outcome = memo.outcome(
+            memo.gold_form, lambda: memo.run(connection, gold, config.timeout), gold=True)
+        scored = _succeeded(gold_outcome)
         order_sensitive = has_top_level_order_by(gold)
 
     def verdict(outcome):
-        if gold_outcome is None:
-            return None
-        return compare_results(gold_outcome, outcome, order_sensitive)
+        return compare_results(gold_outcome, outcome, order_sensitive) if scored else None
 
     def trigger_fires(outcome, ea):
         if outcome is None or outcome.status != "success":
             return True
-        if config.correction_trigger == "gold_mismatch":
-            return ea is False
-        return False
+        return config.correction_trigger == "gold_mismatch" and ea is False
 
     try:
         linked = agents.run_schema_linking(question, schema, gateway, trace, templates)
@@ -326,12 +289,7 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
         form = forms[query.text] if seen else canonical_sql(query.text)
         repeated = seen or form in forms.values()
         forms[query.text] = form
-
-        def miss():
-            compiled, served = memo.by_program(connection, query)
-            return served if served is not None else run(query, compiled)
-
-        outcome = memo.outcome(form, miss)
+        outcome = memo.outcome(form, lambda: memo.run(connection, query, config.timeout))
         ea = verdict(outcome)
         trace.attempts.append(
             AttemptRecord(
@@ -351,7 +309,7 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     sent = set()  # (failed query's form, feedback) of every round so far
     while trigger_fires(outcome, ea) and len(sent) < config.max_correction_attempts:
         failed_sql = query.text if query else "(no executable SQL was produced)"
-        feedback = _feedback_text(outcome, ea, gold_outcome is not None)
+        feedback = _feedback_text(outcome, ea)
         key = (forms[query.text] if query else None, feedback)
         if key in sent:
             break  # this query, as SQLite reads it, was sent with this feedback

@@ -441,6 +441,45 @@ def test_remote_timeout_that_is_not_a_number_exits_1_before_any_model_call(
     assert calls == []
 
 
+@pytest.mark.parametrize("key", [None, "rejected"])
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_a_missing_or_rejected_api_key_stops_the_run_at_its_first_call(
+        tmp_path, eval_assets, fixture_db, capsys, monkeypatch, key, command):
+    posts, sleeps = [], []
+
+    class Rejecting:
+        def post(self, url, **kwargs):
+            posts.append(url)
+            return argparse.Namespace(status_code=401, headers={}, text="")
+
+    if key is None:
+        monkeypatch.delenv("NL2SQL_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("NL2SQL_API_KEY", key)
+    monkeypatch.setattr(cli, "RemoteBackend",
+                        functools.partial(RemoteBackend, session=Rejecting(), sleep=sleeps.append))
+    questions, tables, db_root, _ = eval_assets
+    config = write_config(tmp_path, {}, backends={"api": {"endpoint": "http://127.0.0.1:9"}})
+    checkpoint, traces = tmp_path / "rows.jsonl", tmp_path / "traces.jsonl"
+    if command == "ask":
+        argv = ["ask", "--config", config, "--db-file", fixture_db, "--question", "q"]
+    else:
+        argv = ["eval", "--config", config, "--questions", questions, "--tables", tables,
+                "--db-root", db_root, "--parallelism", "2", "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "out")]
+    code = main(argv + ["--trace-file", str(traces)])
+    captured = capsys.readouterr()
+    error, = captured.err.splitlines()
+    assert code == 2
+    assert error.startswith("error: ")
+    assert captured.out == ""
+    # no retry, and at most one call per worker
+    assert sleeps == [] and len(posts) <= (0 if key is None else 2)
+    for log in (checkpoint, traces):
+        assert not log.exists() or log.read_text() == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("content, code", [
     ("[1, 2]", 1),  # the same check as an inline value
     ("{'sql': ['SELECT 1']}", 2),  # not JSON

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import hashlib
@@ -6,11 +7,10 @@ import itertools
 import json
 import os
 import random
-import statistics
+import sqlite3
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from collections import Counter
 from dataclasses import asdict
@@ -46,7 +46,7 @@ from nl2sql.gateway import (
     read_replay_log,
 )
 from nl2sql.jsonl import AppendLog
-from nl2sql.execution import ExecutionOutcome
+from nl2sql.execution import ExecutionOutcome, connect_readonly, larger_than_cache
 from nl2sql.pipeline import (
     PipelineConfig,
     PipelineTrace,
@@ -750,14 +750,15 @@ def compiles(monkeypatch):
 
 
 @pytest.fixture()
-def every_success_costly(monkeypatch):
-    """Lets every success be matched by its program."""
-    monkeypatch.setattr(pipeline, "COSTLY_EXECUTE_CPU_S", 0.0)
+def over_page_cache(monkeypatch):
+    """Has evaluate take every database for one larger than its page cache,
+    so every memo matches by program."""
+    monkeypatch.setattr(evalkit, "larger_than_cache", lambda connection: True)
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_candidates_of_their_golds_program_are_served_from_its_run(
-        paired, executions, compiles, every_success_costly, parallelism):
+        paired, executions, compiles, over_page_cache, parallelism):
     samples, schemas, db_paths = paired
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
                       question_keyed_gateway(PAIRED_SQL_ALL), parallelism=parallelism)
@@ -769,7 +770,8 @@ def test_candidates_of_their_golds_program_are_served_from_its_run(
     assert compiles["compiled"] > 0
 
 
-def test_program_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path, monkeypatch):
+def test_program_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path, over_page_cache):
+    # over_page_cache reaches evaluate only: each fresh run compiles nothing
     samples, schemas, db_paths = paired
     fresh = {}
     for sample in samples:
@@ -778,7 +780,6 @@ def test_program_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path, monke
                                   gold_query=sample.gold_query,
                                   sample_id=str(sample.index))
         fresh[str(sample.index)] = untimed(asdict(alone.trace))
-    monkeypatch.setattr(pipeline, "COSTLY_EXECUTE_CPU_S", 0.0)
     traces = tmp_path / "traces.jsonl"
     evaluate(samples, schemas, db_paths, PipelineConfig(),
              question_keyed_gateway(PAIRED_SQL_ALL), parallelism=1,
@@ -822,8 +823,7 @@ def test_nothing_is_compiled_at_the_default_gate(paired, executions, compiles):
     assert executions["select all COUNT(*) FROM singer"] == 1
 
 
-def test_candidate_of_another_program_runs(paired, executions, compiles,
-                                           every_success_costly):
+def test_candidate_of_another_program_runs(paired, executions, compiles, over_page_cache):
     samples, schemas, db_paths = paired
     group = [samples[0], samples[2], samples[6]]  # gold SELECT COUNT(*) FROM singer
     replies = ["select all COUNT(*) FROM concert",
@@ -833,7 +833,7 @@ def test_candidate_of_another_program_runs(paired, executions, compiles,
              question_keyed_gateway({s.question: r for s, r in zip(group, replies)}),
              parallelism=1)
     assert executions == {"SELECT COUNT(*) FROM singer": 1, replies[0]: 1, replies[1]: 1}
-    # each candidate once; the gold when the first candidate misses by form
+    # the gold before it runs, then each candidate
     assert compiles["compiled"] == 4
 
 
@@ -841,8 +841,8 @@ def test_candidate_of_another_program_runs(paired, executions, compiles,
     ExecutionOutcome.failure("other", "disk I/O error"),
     ExecutionOutcome.timeout(),
 ])
-def test_failed_costly_outcome_is_not_served_by_program(paired, monkeypatch,
-                                                        every_success_costly, failed):
+def test_a_failed_outcome_is_not_served_by_program(paired, monkeypatch, over_page_cache,
+                                                   failed):
     samples, schemas, db_paths = paired
     first, second = "select all COUNT(*) FROM singer", "select COUNT(*) FROM singer s"
     executions = count_executions(
@@ -857,20 +857,58 @@ def test_failed_costly_outcome_is_not_served_by_program(paired, monkeypatch,
                           first: 1, second: 1}
 
 
+@pytest.mark.parametrize("parallelism", [2, 4])
+def test_workers_serve_respelled_candidates_from_the_program_table_at_once(
+        tmp_path, fixture_tables_file, executions, monkeypatch, parallelism):
+    """Four respellings of one gold, on a database larger than its page
+    cache: two workers hold in the group at once, and the gold's one run
+    serves every candidate by its program."""
+    root = tmp_path / "database"
+    (root / "music").mkdir(parents=True)
+    path = build_fixture_db(root / "music" / "music.sqlite")
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE filler (pad TEXT)")
+        conn.executemany("INSERT INTO filler VALUES (?)", [("x" * 4000,)] * 700)
+        conn.commit()
+    with contextlib.closing(connect_readonly(path)) as connection:
+        assert larger_than_cache(connection)
+    gold = "SELECT COUNT(*) FROM singer"
+    replies = {f"Question {i}?": sql for i, sql in enumerate([
+        "select count(*) from singer as s", "select count(*) from singer t",
+        "select all count(*) from singer", "select all count(*) from singer as u"])}
+    questions = tmp_path / "dev.json"
+    questions.write_text(json.dumps([{"question": q, "query": gold, "db_id": "music"}
+                                     for q in replies]))
+    compiled_on = []
+    compile_program = pipeline.program
+
+    def recording_program(connection, query):
+        compiled_on.append(threading.get_ident())
+        return compile_program(connection, query)
+
+    monkeypatch.setattr(pipeline, "program", recording_program)
+    meeting, held = threading.Barrier(2, timeout=30), itertools.count()
+
+    class Meeting(QuestionKeyedBackend):
+        def complete(self, request, role=None):
+            if role == "sql" and next(held) < 2:
+                meeting.wait()  # two workers are in the group at once
+            return super().complete(request, role)
+
+    gateway = Gateway(backends={"t": Meeting(replies)},
+                      route=ModelRoute.uniform("t", "fixture-model"))
+    samples, schemas, db_paths = load_dataset(str(questions), fixture_tables_file, str(root))
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(), gateway,
+                      parallelism=parallelism)
+    assert [r.ea for r in report.rows] == [True] * len(replies)
+    assert executions == {gold: 1}
+    assert len(compiled_on) == 1 + len(replies)  # the gold, then each candidate
+    assert len(set(compiled_on)) >= 2
+
+
 def test_a_small_benchmark_batch_compiles_no_program(tmp_path, monkeypatch, compiles):
     """The benchmark's replay_warm batch: 40 questions over Spider-sized
-    databases, whose queries cost far less than COSTLY_EXECUTE_CPU_S."""
-    costs = []  # the thread CPU of each execute
-    execute = pipeline.execute
-
-    def timed_execute(connection, query, timeout=30.0):
-        started = time.thread_time()
-        try:
-            return execute(connection, query, timeout=timeout)
-        finally:
-            costs.append(time.thread_time() - started)
-
-    monkeypatch.setattr(pipeline, "execute", timed_execute)
+    databases, each smaller than its page cache."""
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "evalbench")
     subprocess.run([sys.executable, os.path.join(bench, "gen.py"), "--size", "small",
@@ -889,11 +927,7 @@ def test_a_small_benchmark_batch_compiles_no_program(tmp_path, monkeypatch, comp
     report = evaluate(samples, schemas, db_paths, PipelineConfig(), gateway, parallelism=2)
     expected = json.loads((tmp_path / "bench" / "expected.json").read_text(encoding="utf-8"))
     assert [r.ea for r in report.rows] == [row["ea"] for row in expected]
-    assert statistics.median(costs) < pipeline.COSTLY_EXECUTE_CPU_S / 4
-    # A rare query can still cross the gate on a loaded host: about one in
-    # 50 passes of this batch did on a shared 2-vCPU virtual machine.
-    if max(costs) < pipeline.COSTLY_EXECUTE_CPU_S:
-        assert compiles["compiled"] == 0
+    assert compiles["compiled"] == 0
 
 
 def test_resume_runs_only_pending_samples_of_a_group(paired, gold_runs, tmp_path):

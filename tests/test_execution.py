@@ -898,6 +898,26 @@ def test_text_that_does_not_compile_has_no_program(fixture_db, text):
     assert program_of(fixture_db, text) is None
 
 
+@pytest.mark.parametrize("cache_size, larger", [
+    (None, False),  # the default cache, 2000 KiB, holds the fixture database
+    (-1, True),  # 1 KiB
+    (1, True),  # one page
+    (10_000, False),  # pages
+])
+def test_a_database_is_larger_than_its_page_cache_by_bytes(fixture_db, cache_size, larger):
+    with contextlib.closing(connect_readonly(fixture_db)) as connection:
+        if cache_size is not None:
+            connection.execute(f"PRAGMA cache_size={cache_size}")
+        assert execution.larger_than_cache(connection) is larger
+
+
+def test_a_file_that_is_not_a_database_is_not_larger_than_its_page_cache(tmp_path):
+    path = tmp_path / "notes.sqlite"
+    path.write_bytes(b"not a database " * 1000)
+    with contextlib.closing(connect_readonly(path)) as connection:
+        assert execution.larger_than_cache(connection) is False
+
+
 def test_compare_failures_never_match():
     ok = ExecutionOutcome.success([(1,)], 1)
     bad = ExecutionOutcome.failure("syntax", "boom")

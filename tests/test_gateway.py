@@ -327,7 +327,8 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Counts attempts; returns queued responses in order."""
+    """Counts attempts; returns queued responses in order, and raises a
+    queued exception in its turn."""
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -335,7 +336,10 @@ class FakeSession:
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.attempts += 1
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 def success_body(content="SELECT 1"):
@@ -373,6 +377,46 @@ def test_remote_honors_retry_after(monkeypatch):
     backend = RemoteBackend("https://api.test", session=session, sleep=sleeps.append)
     backend.complete(make_request())
     assert sleeps[0] >= 7
+
+
+@pytest.mark.parametrize("fault, sleeps", [
+    (FakeResponse(429, headers={"Retry-After": "3"}), [3.0]),
+    (FakeResponse(429, headers={"Retry-After": "0.5"}), [1.0]),  # a floor, not a cap
+    (FakeResponse(429), [1.0]),
+    (FakeResponse(503), [1.0]),
+    (ConnectionError("connection reset by peer"), [1.0]),
+])
+def test_remote_recovers_after_a_scheduled_transport_fault(monkeypatch, fault, sleeps):
+    monkeypatch.setenv("NL2SQL_API_KEY", "k")
+    monkeypatch.setattr("nl2sql.gateway.random.uniform", lambda low, high: 0.0)  # no jitter
+    slept = []
+    session = FakeSession([fault, FakeResponse(200, success_body("SELECT 2"))])
+    backend = RemoteBackend("https://api.test", session=session, sleep=slept.append)
+    response = backend.complete(make_request())
+    assert session.attempts == 2
+    assert slept == sleeps
+    assert (response.content, response.prompt_tokens, response.completion_tokens) \
+        == ("SELECT 2", 10, 5)
+
+
+def test_remote_five_faults_in_a_row_raise_the_last(monkeypatch):
+    monkeypatch.setenv("NL2SQL_API_KEY", "k")
+    monkeypatch.setattr("nl2sql.gateway.random.uniform", lambda low, high: 0.0)
+    slept = []
+    session = FakeSession([
+        FakeResponse(429, headers={"Retry-After": "30"}),
+        ConnectionError("connection refused"),
+        FakeResponse(500),
+        FakeResponse(429),
+        FakeResponse(502),
+        FakeResponse(200, success_body()),  # never reached
+    ])
+    backend = RemoteBackend("https://api.test", session=session, sleep=slept.append)
+    with pytest.raises(TransportError, match="HTTP 502") as raised:
+        backend.complete(make_request())
+    assert not isinstance(raised.value, RateLimitError)
+    assert session.attempts == RemoteBackend.MAX_ATTEMPTS == 5
+    assert slept == [30.0, 2.0, 4.0, 8.0]  # Retry-After, then the doubling backoff
 
 
 def test_remote_auth_is_fatal(monkeypatch):

@@ -292,8 +292,29 @@ def test_a_timed_out_gold_runs_again_for_the_groups_next_sample(music_schema, fi
     first, second = [run_pipeline_once(QUESTION, music_schema, fixture_db, config, gateway,
                                        gold_query=GOLD, memo=memo) for _ in range(2)]
     assert calls == [GOLD, candidate, GOLD]  # the candidate's success is kept
-    assert first.ea is False
+    assert first.ea is None  # no verdict against a gold that timed out
     assert second.ea is True and second.trace.status == "solved"
+
+
+@pytest.mark.parametrize("gold, injected", [
+    ("SELECT count(*) FROM nosuchtable", None),
+    (GOLD, ExecutionOutcome.timeout()),
+])
+def test_a_gold_that_did_not_succeed_gives_no_verdict_and_starts_no_round(
+        music_schema, fixture_db, monkeypatch, gold, injected):
+    def gold_fails(connection, query, timeout=30.0):
+        if injected and query.text == gold:
+            return injected
+        return execute(connection, query, timeout=timeout)
+
+    monkeypatch.setattr(pipeline, "execute", gold_fails)
+    gateway = scripted_gateway(["SELECT count(id) FROM singer"])  # right; no fixture for a round
+    result = run_pipeline_once(QUESTION, music_schema, fixture_db, PipelineConfig(), gateway,
+                               gold_query=gold)
+    assert result.ea is None and result.outcome.status == "success"
+    assert [a.ea for a in result.trace.attempts] == [None]
+    assert stage_roles(result) == ["schema_linking", "subproblem", "query_plan", "sql"]
+    assert result.trace.status == "solved"
 
 
 @pytest.mark.parametrize("failed", [
