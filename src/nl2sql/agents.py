@@ -20,10 +20,16 @@ from . import taxonomy as taxonomy_mod
 from .gateway import AGENT_ROLES, GatewayError
 from .schema import LinkedSchema, ForeignKey, render_schema_text, validate_linked_schema
 
-PLACEHOLDERS = frozenset({
-    "question", "schema", "subproblems", "plan", "failed_sql",
-    "exec_feedback", "taxonomy", "correction_plan",
-})
+# The names each stage's run_* call fills in its user template.
+STAGE_PLACEHOLDERS = {
+    "schema_linking": {"question", "schema"},
+    "subproblem": {"question", "schema"},
+    "query_plan": {"question", "schema", "subproblems"},
+    "sql": {"question", "plan"},
+    "correction_plan": {"question", "schema", "failed_sql", "exec_feedback", "taxonomy"},
+    "correction_sql": {"question", "schema", "correction_plan", "failed_sql"},
+}
+PLACEHOLDERS = frozenset().union(*STAGE_PLACEHOLDERS.values())
 
 CLAUSE_KEYS = (
     "SELECT", "FROM", "WHERE", "GROUP BY", "JOIN", "DISTINCT",
@@ -126,8 +132,11 @@ _TEMPLATE_DELIMITER = "--- user ---"
 
 def _parse_template_file(role: str, text: str) -> PromptTemplate:
     if _TEMPLATE_DELIMITER not in text:
-        raise ValueError(f"template for {role} missing '{_TEMPLATE_DELIMITER}' line")
+        raise ValueError(f"has no '{_TEMPLATE_DELIMITER}' line")
     system_text, user_template = text.split(_TEMPLATE_DELIMITER, 1)
+    unfilled = set(_PLACEHOLDER_RE.findall(user_template)) - STAGE_PLACEHOLDERS[role]
+    if unfilled:
+        raise ValueError(f"uses {{{min(unfilled)}}}, which the {role} stage does not fill")
     return PromptTemplate(role, system_text.strip(), user_template.strip())
 
 
@@ -145,7 +154,8 @@ def load_default_templates() -> dict:
 def load_templates(directory) -> dict:
     """The built-in templates, each overridden by ``<role>.txt`` in
     ``directory`` when that file exists; raises FileNotFoundError when none
-    of the six does, so a misspelt path does not run the built-in ones."""
+    of the six does, so a misspelt path does not run the built-in ones, and
+    ValueError, naming the file, for one that is not a template of its role."""
     templates = load_default_templates()
     found = [role for role in AGENT_ROLES
              if os.path.isfile(os.path.join(str(directory), role + ".txt"))]
@@ -153,8 +163,12 @@ def load_templates(directory) -> dict:
         raise FileNotFoundError(f"templates directory {directory} holds none of"
                                 f" {', '.join(role + '.txt' for role in AGENT_ROLES)}")
     for role in found:
-        with open(os.path.join(str(directory), role + ".txt"), encoding="utf-8") as fh:
-            templates[role] = _parse_template_file(role, fh.read())
+        path = os.path.join(str(directory), role + ".txt")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                templates[role] = _parse_template_file(role, fh.read())
+        except ValueError as exc:  # not UTF-8, or a template the stage cannot render
+            raise ValueError(f"template file {path}: {exc}") from exc
     return templates
 
 

@@ -134,7 +134,7 @@ def _walk(rows, value, path):
         try:
             with open(value, encoding="utf-8") as fh:
                 value = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CliError(f"config setting {path} names no readable JSON file: {exc}",
                            EXIT_DATA) from exc
     if value is None:
@@ -160,7 +160,7 @@ def load_config(args) -> dict:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = yaml.safe_load(fh)
-        except (OSError, yaml.YAMLError, ValueError) as exc:
+        except (OSError, yaml.YAMLError, ValueError, RecursionError) as exc:
             raise CliError(f"config file {args.config} cannot be read:"
                            f" {' '.join(str(exc).split())}", EXIT_DATA) from exc
         if not isinstance(data, (dict, type(None))):
@@ -213,7 +213,10 @@ def build_pipeline_config(settings: dict) -> PipelineConfig:
     options = {key: value for key, value in settings.get("pipeline", {}).items()
                if key not in _GATEWAY_SETTINGS}
     if "templates_dir" in settings:
-        options["templates"] = agents.load_templates(settings["templates_dir"])
+        try:
+            options["templates"] = agents.load_templates(settings["templates_dir"])
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_DATA) from exc
     return PipelineConfig(**options)
 
 
@@ -260,8 +263,9 @@ def cmd_ask(args) -> int:
         return EXIT_STAGE_ERRORS
     print(result.final_sql.text)
     print(f"attempts: {len(result.trace.attempts)}", file=sys.stderr)
-    if args.gold is not None:
-        print(f"execution accuracy: {result.ea}", file=sys.stderr)
+    if args.gold is not None:  # no verdict: the gold's warning, the trace's first
+        print(result.trace.warnings[0] if result.ea is None
+              else f"execution accuracy: {result.ea}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -73,8 +73,11 @@ def load_dataset(questions_file, tables_file, db_root, offset=0, limit=None):
     from .schema import load_tables_json
 
     schemas = {s.db_id: s for s in load_tables_json(tables_file)}
-    with open(questions_file, encoding="utf-8") as fh:
-        entries = json.load(fh)
+    try:
+        with open(questions_file, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise DatasetError(f"{questions_file}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise DatasetError(f"{questions_file}: expected a top-level array")
 

@@ -196,7 +196,8 @@ class SingleFlight:
 
     ``values`` is the dict the table keeps; reading it needs no lock. One
     condition guards the making: a caller that finds its key being made
-    waits for that maker to end, then looks again.
+    waits for that maker to end, then looks again. What is kept is ``keep``'s
+    choice: the replay log keeps every record, an outcome memo only successes.
     """
 
     def __init__(self, values):
@@ -204,15 +205,15 @@ class SingleFlight:
         self._cond = threading.Condition()
         self._making = set()  # keys a caller is making
 
-    def get(self, key, make, take=None, keep=None):
-        """The kept value of ``key`` when ``take`` accepts it (None takes
-        any); otherwise the one ``make()`` returns, kept when it is not None
-        and ``keep`` accepts it (None keeps any). When ``make`` raises, the
-        next waiter makes the value again."""
+    def get(self, key, make, keep=None):
+        """The kept value of ``key``; otherwise the one ``make()`` returns,
+        kept when it is not None and ``keep`` accepts it (None keeps any).
+        When ``make`` raises or its value is not kept, the next waiter
+        makes the value again."""
         with self._cond:
             while True:
                 kept = self.values.get(key)
-                if kept is not None and (take is None or take(kept)):
+                if kept is not None:
                     return kept
                 if key not in self._making:
                     break

@@ -26,9 +26,9 @@ _ENCODER = json.JSONEncoder(ensure_ascii=True, sort_keys=True, check_circular=Fa
 
 def read_records(path, parse, label) -> list:
     """``parse(value)`` for the JSON value on each line of ``path``, in file
-    order; empty when there is no file. A line that is not JSON, or that
-    ``parse`` rejects with ValueError, LookupError or TypeError, is skipped
-    with a warning naming ``label``."""
+    order; empty when there is no file. A line that is not JSON, nests too
+    deep to decode, or that ``parse`` rejects with ValueError, LookupError or
+    TypeError, is skipped with a warning naming ``label``."""
     records = []
     try:
         fh = open(path, "rb")
@@ -40,7 +40,7 @@ def read_records(path, parse, label) -> list:
                 continue
             try:
                 records.append(parse(json.loads(line)))
-            except (ValueError, LookupError, TypeError):
+            except (ValueError, LookupError, TypeError, RecursionError):
                 logger.warning("%s %s: skipping unreadable line %d", label, path, number)
     return records
 

@@ -116,48 +116,40 @@ class OutcomeMemo:
     group's samples on any thread and any connection to that file.
 
     ``gold_form`` is the ``canonical_sql`` form of the gold query as
-    run_pipeline executes it (``gold_sql``). The gold's outcome is kept
-    unless it timed out, a candidate's only when it succeeds. A form is run
-    by one caller at a time (``gateway.SingleFlight``): a caller that finds
-    its form running waits for that run to end, then takes the kept outcome
-    if it may (the gold a success or a failure, a candidate only a success)
+    run_pipeline executes it (``gold_sql``). The memo keeps only successes,
+    the gold's as well as a candidate's. A form is run by one caller at a
+    time (``gateway.SingleFlight``): a caller that finds its form running
+    waits for that run to end, then takes its outcome if it is a success
     and otherwise runs the query itself.
 
     With ``by_program`` set, as for a database larger than its page cache
-    (``execution.larger_than_cache``), ``run`` compiles each query before it
-    runs (``execution.program``): a success kept for that program serves
-    it, and a success it runs is kept by its program under ``_lock``.
+    (``execution.larger_than_cache``), a query that misses by form is
+    compiled before it runs (``execution.program``): a success kept for its
+    program serves it, and a success it runs is kept by its program too.
     """
 
     def __init__(self, gold_form=None, by_program=False):
         self.gold_form = gold_form
-        self._outcomes = SingleFlight({})  # form -> kept outcome
+        self._outcomes = SingleFlight({})  # form -> success
         self._lock = threading.Lock()
         self._programs = {} if by_program else None  # compiled program -> success
 
-    def outcome(self, form, run, gold=False):
-        """The outcome for the query of ``form``: the kept one when the
-        caller may take it, otherwise the one ``run()`` returns, which is
-        kept when it succeeds, or when ``gold`` is set and it did not time
-        out: a slow moment does not fail the rest of the group."""
-        if gold:
-            return self._outcomes.get(form, run, keep=lambda kept: kept.status != "timeout")
-        return self._outcomes.get(form, run, take=_succeeded, keep=_succeeded)
+    def execute(self, connection, query, form, timeout):
+        """A success kept for ``form`` or its program, else the outcome of executing ``query``."""
+        def make():
+            compiled = None if self._programs is None else program(connection, query)
+            if compiled is not None:
+                with self._lock:
+                    served = self._programs.get(compiled)
+                if served is not None:
+                    return served
+            outcome = execute(connection, query, timeout=timeout)
+            if compiled is not None and _succeeded(outcome):
+                with self._lock:
+                    self._programs[compiled] = outcome
+            return outcome
 
-    def run(self, connection, query, timeout):
-        """The outcome of executing ``query`` on ``connection``: a success
-        kept for its program, when there is one."""
-        compiled = None if self._programs is None else program(connection, query)
-        if compiled is not None:
-            with self._lock:
-                served = self._programs.get(compiled)
-            if served is not None:
-                return served
-        outcome = execute(connection, query, timeout=timeout)
-        if compiled is not None and _succeeded(outcome):
-            with self._lock:
-                self._programs[compiled] = outcome
-        return outcome
+        return self._outcomes.get(form, make, keep=_succeeded)
 
 
 def gold_sql(gold_query: str) -> SqlQuery:
@@ -167,21 +159,19 @@ def gold_sql(gold_query: str) -> SqlQuery:
     return SqlQuery(gold_query.strip().rstrip(";"))
 
 
-def _feedback_text(outcome, ea) -> str:
+def _feedback_text(outcome) -> str:
+    """Feedback on a candidate that failed, timed out or gave a wrong result."""
     if outcome is None:
         return "the response did not contain an executable SQL statement"
     if outcome.status == "timeout":
         return "execution timed out"
     if outcome.status == "failure":
         return f"{outcome.error_kind} error: {outcome.message}"
-    if ea is False:
-        sample = outcome.rows[:5]
-        return (
-            "the query executed without error but returned a wrong result: "
-            f"{len(outcome.rows)} row(s) with {outcome.column_count} column(s), "
-            f"first rows {sample!r}, which do not match the expected answer"
-        )
-    return "execution succeeded"
+    return (
+        "the query executed without error but returned a wrong result: "
+        f"{len(outcome.rows)} row(s) with {outcome.column_count} column(s), "
+        f"first rows {outcome.rows[:5]!r}, which do not match the expected answer"
+    )
 
 
 def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
@@ -196,28 +186,28 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     feedback on a failed query of the same ``canonical_sql`` form. Without
     ``gold_query``, or when the gold did not succeed, there is no verdict
     (``ea`` None), and both triggers fire only on a candidate that did not
-    succeed.
+    succeed; a trace warning names the gold's failure. The result is the
+    last attempt that had SQL, with its own outcome and verdict.
 
     Every query runs on ``connection``, from ``execution.connect_readonly``
     and owned by the caller, who closes it.
 
-    ``memo`` holds the ExecutionOutcomes of queries on the connection's
-    database file by their ``canonical_sql`` form, which two texts share
-    only when SQLite compiles them to the same program. A caller may pass
-    one OutcomeMemo, made with the gold's form, to every call for the
-    samples of one gold query on one database file, from any thread and on
-    any connection to that file, which must not change during the run. The
-    gold query runs first unless the memo holds it, and its outcome is kept
-    unless it timed out, so the next sample runs a timed-out gold again. A
-    candidate is served from the memo only when it holds a success for the
-    candidate; otherwise the candidate is executed, and kept if it
-    succeeds, so a failed or timed-out query that comes back runs again. A
-    query whose form another call is running waits for that run (see
-    OutcomeMemo). Without ``memo`` the memo lasts for this call only. Each
-    candidate text's form is computed once per call; it keys the memo and
-    sets ``AttemptRecord.repeat_of_earlier``: the candidate has the form of
-    an earlier attempt, the same query up to ASCII case outside quoted
-    tokens, whitespace and comments. The flag only marks the attempt.
+    ``memo`` holds the successful ExecutionOutcomes of queries on the
+    connection's database file by their ``canonical_sql`` form, which two
+    texts share only when SQLite compiles them to the same program. A
+    caller may pass one OutcomeMemo, made with the gold's form, to every
+    call for the samples of one gold query on one database file, from any
+    thread and on any connection to that file, which must not change during
+    the run. The memo keeps only successes, the gold's as well as a
+    candidate's: the gold runs first unless the memo holds it, and a query
+    that failed or timed out runs again when it comes back, in this sample
+    or the group's next one. A query whose form another call is running
+    waits for that run (see OutcomeMemo). Without ``memo`` the memo lasts
+    for this call only. Each candidate text's form is computed once per
+    call; it keys the memo and sets ``AttemptRecord.repeat_of_earlier``: the
+    candidate has the form of an earlier attempt, the same query up to ASCII
+    case outside quoted tokens, whitespace and comments. The flag only marks
+    the attempt.
 
     On a database larger than the connection's page cache
     (``execution.larger_than_cache``, decided for a memo made here and when
@@ -242,19 +232,43 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
 
     scored = order_sensitive = False
     if gold is not None:
-        gold_outcome = memo.outcome(
-            memo.gold_form, lambda: memo.run(connection, gold, config.timeout), gold=True)
+        gold_outcome = memo.execute(connection, gold, memo.gold_form, config.timeout)
         scored = _succeeded(gold_outcome)
+        if not scored:
+            trace.warnings.append(
+                f"no verdict: gold query {gold_outcome.status}: {gold_outcome.message}")
         order_sensitive = has_top_level_order_by(gold)
 
-    def verdict(outcome):
-        return compare_results(gold_outcome, outcome, order_sensitive) if scored else None
+    forms = {}  # the canonical_sql form of each candidate text so far
 
-    def trigger_fires(outcome, ea):
-        if outcome is None or outcome.status != "success":
-            return True
-        return config.correction_trigger == "gold_mismatch" and ea is False
+    def attempt(raw_text):
+        """Sanitize + execute one candidate: (query, outcome, ea), or Nones."""
+        try:
+            query = sanitize(raw_text)
+        except SanitizeError as exc:
+            trace.attempts.append(
+                AttemptRecord(sql="", status="sanitize_error", message=str(exc))
+            )
+            return None, None, None
+        form = forms.get(query.text) or canonical_sql(query.text)
+        repeated = form in forms.values()
+        forms[query.text] = form
+        outcome = memo.execute(connection, query, form, config.timeout)
+        ea = compare_results(gold_outcome, outcome, order_sensitive) if scored else None
+        trace.attempts.append(
+            AttemptRecord(
+                sql=query.text,
+                status=outcome.status,
+                error_kind=outcome.error_kind,
+                message=outcome.message,
+                row_count=len(outcome.rows),
+                ea=ea,
+                repeat_of_earlier=repeated,
+            )
+        )
+        return query, outcome, ea
 
+    answer = (None, None, None)  # the last attempt that had SQL
     try:
         linked = agents.run_schema_linking(question, schema, gateway, trace, templates)
         schema_text = render_schema_text(linked, parent=schema)
@@ -269,69 +283,34 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
             )
             plan_text = plan.render()
         raw_sql = agents.run_sql(question, plan_text, gateway, trace, templates)
-    except agents.StageError as exc:
-        trace.status = "stage_error"
-        trace.warnings.append(str(exc))
-        return PipelineResult(None, None, None, trace)
-
-    forms = {}  # the canonical_sql form of each candidate text so far
-
-    def attempt(raw_text):
-        """Sanitize + execute one candidate; returns (query, outcome, ea)."""
-        try:
-            query = sanitize(raw_text)
-        except SanitizeError as exc:
-            trace.attempts.append(
-                AttemptRecord(sql="", status="sanitize_error", message=str(exc))
-            )
-            return None, None, None
-        seen = query.text in forms
-        form = forms[query.text] if seen else canonical_sql(query.text)
-        repeated = seen or form in forms.values()
-        forms[query.text] = form
-        outcome = memo.outcome(form, lambda: memo.run(connection, query, config.timeout))
-        ea = verdict(outcome)
-        trace.attempts.append(
-            AttemptRecord(
-                sql=query.text,
-                status=outcome.status,
-                error_kind=outcome.error_kind,
-                message=outcome.message,
-                row_count=len(outcome.rows),
-                ea=ea,
-                repeat_of_earlier=repeated,
-            )
-        )
-        return query, outcome, ea
-
-    query, outcome, ea = attempt(raw_sql)
-
-    sent = set()  # (failed query's form, feedback) of every round so far
-    while trigger_fires(outcome, ea) and len(sent) < config.max_correction_attempts:
-        failed_sql = query.text if query else "(no executable SQL was produced)"
-        feedback = _feedback_text(outcome, ea)
-        key = (forms[query.text] if query else None, feedback)
-        if key in sent:
-            break  # this query, as SQLite reads it, was sent with this feedback
-        sent.add(key)
-        try:
+        sent = set()  # (failed query's form, feedback) of every round so far
+        while True:
+            new_query, outcome, ea = attempt(raw_sql)
+            answer = (new_query, outcome, ea) if new_query else answer
+            # a round starts on no SQL, a failure, a timeout, or a wrong result under gold_mismatch
+            fires = (outcome is None or not _succeeded(outcome)
+                     or config.correction_trigger == "gold_mismatch" and ea is False)
+            if not fires or len(sent) >= config.max_correction_attempts:
+                break
+            failed_sql = answer[0].text if answer[0] else "(no executable SQL was produced)"
+            feedback = _feedback_text(outcome)
+            key = (forms.get(failed_sql), feedback)
+            if key in sent:
+                break  # this query, as SQLite reads it, was sent with this feedback
+            sent.add(key)
             plan = agents.run_correction_plan(
                 question, schema_text, failed_sql, feedback, taxonomy,
                 gateway, trace, templates,
             )
-            raw_fixed = agents.run_correction_sql(
+            raw_sql = agents.run_correction_sql(
                 question, schema_text, plan, failed_sql,
                 gateway, trace, templates,
             )
-        except agents.StageError as exc:
-            trace.status = "stage_error"
-            trace.warnings.append(str(exc))
-            return PipelineResult(query, outcome, ea, trace)
-        new_query, outcome, ea = attempt(raw_fixed)
-        query = new_query or query
-
-    trace.status = "exhausted" if trigger_fires(outcome, ea) else "solved"
-    return PipelineResult(query, outcome, ea, trace)
+        trace.status = "exhausted" if fires else "solved"
+    except agents.StageError as exc:
+        trace.status = "stage_error"
+        trace.warnings.append(str(exc))
+    return PipelineResult(*answer, trace)
 
 
 def append_trace(traces, log: jsonl.AppendLog) -> None:

@@ -144,11 +144,11 @@ def load_tables_json(path) -> list:
     column_names_original ([table_index, name] pairs), column_types,
     primary_keys (column indices), foreign_keys (column-index pairs).
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaFormatError(f"{path}: not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SchemaFormatError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise SchemaFormatError(f"{path}: expected a top-level array")
 
@@ -168,10 +168,10 @@ def _schema_from_entry(entry: dict) -> DatabaseSchema:
     table_names = entry["table_names_original"]
     col_pairs = entry["column_names_original"]
     col_types = entry["column_types"]
+    if not isinstance(db_id, str) or not all(isinstance(name, str) for name in table_names):
+        raise TypeError("the db_id or a table name is not text")
     if not table_names:
         raise SchemaError(f"{db_id}: empty table list")
-    if not all(isinstance(name, str) for name in table_names):
-        raise TypeError("a table name is not text")
     if len(col_pairs) != len(col_types):
         raise ValueError(
             f"{db_id}: {len(col_pairs)} column_names_original but "

@@ -8,11 +8,13 @@ from hypothesis import given
 from nl2sql.agents import (
     CLAUSE_KEYS,
     PLACEHOLDERS,
+    STAGE_PLACEHOLDERS,
     _PLACEHOLDER_RE,
     ExtractionError,
     PromptTemplate,
     StageError,
     load_default_templates,
+    load_templates,
     looks_like_sql_statement,
     run_correction_plan,
     run_correction_sql,
@@ -22,7 +24,7 @@ from nl2sql.agents import (
     run_subproblem,
     structured_payload,
 )
-from nl2sql.pipeline import PipelineTrace
+from nl2sql.pipeline import PipelineConfig, PipelineTrace
 from nl2sql.schema import ForeignKey, render_schema_text
 from nl2sql.taxonomy import default_taxonomy
 
@@ -30,6 +32,7 @@ from conftest import (
     LINKING_JSON,
     PLAN_JSON,
     SUBPROBLEM_JSON,
+    run_pipeline_once,
     scripted_gateway,
 )
 
@@ -153,6 +156,39 @@ def test_placeholder_totality():
     for template in load_default_templates().values():
         rendered = template.render(**FULL_BINDINGS)
         assert "{" not in rendered and "}" not in rendered
+
+
+def test_each_stage_fills_the_names_declared_for_it(music_schema, fixture_db, monkeypatch):
+    """STAGE_PLACEHOLDERS is what each run_* call binds, and PLACEHOLDERS
+    their union: a run with a correction round renders all six stages."""
+    filled = {}
+    render = PromptTemplate.render
+
+    def recording(self, **bindings):
+        filled[self.role] = set(bindings)
+        return render(self, **bindings)
+
+    monkeypatch.setattr(PromptTemplate, "render", recording)
+    gateway = scripted_gateway(["SELECT COUNT(*) FROM concert"],
+                               correction_sql_responses=["SELECT COUNT(*) FROM singer"])
+    run_pipeline_once("How many singers do we have?", music_schema, fixture_db,
+                      PipelineConfig(), gateway, gold_query="SELECT COUNT(*) FROM singer")
+    assert filled == STAGE_PLACEHOLDERS
+    assert PLACEHOLDERS == set().union(*filled.values())
+
+
+@pytest.mark.parametrize("role", sorted(STAGE_PLACEHOLDERS))
+def test_a_template_file_may_use_only_the_names_its_stage_fills(tmp_path, role):
+    for name in sorted(PLACEHOLDERS - STAGE_PLACEHOLDERS[role]):
+        (tmp_path / f"{role}.txt").write_text(f"sys\n--- user ---\n{{{name}}}",
+                                             encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{role}.txt: uses {{{name}}}, which the {role}"):
+            load_templates(tmp_path)
+    (tmp_path / f"{role}.txt").write_text(
+        "sys\n--- user ---\n" + " ".join(f"{{{n}}}" for n in STAGE_PLACEHOLDERS[role]),
+        encoding="utf-8")
+    assert set(_PLACEHOLDER_RE.findall(load_templates(tmp_path)[role].user_template)) == \
+        STAGE_PLACEHOLDERS[role]
 
 
 def test_unknown_placeholder_rejected():

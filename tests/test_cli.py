@@ -2,10 +2,12 @@ import argparse
 import functools
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from nl2sql import cli, evalkit
 from nl2sql.cli import main
@@ -648,6 +650,25 @@ def test_trace_skips_a_record_of_the_wrong_shape(tmp_path, fixture_db, capsys, b
     assert "sample bad" not in out
 
 
+@pytest.mark.parametrize("command", ["trace", "cache"])
+def test_a_log_line_nested_too_deep_is_skipped(tmp_path, fixture_db, capsys, command):
+    """A line nested past the JSON decoder's depth is unreadable, like a torn one."""
+    cache_dir, trace_file = tmp_path / "cache", tmp_path / "trace.jsonl"
+    config = write_config(tmp_path, ask_scripts("SELECT COUNT(*) FROM singer"))
+    main(["ask", "--config", config, "--db-file", fixture_db, "--question", "q",
+          "--trace-file", str(trace_file), "--cache-dir", str(cache_dir)])
+    for log in (trace_file, cache_dir / "replay.jsonl"):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write("[" * 3000 + "\n")
+    capsys.readouterr()
+    if command == "trace":
+        assert main(["trace", "--trace-file", str(trace_file)]) == 0
+        assert capsys.readouterr().out.count("=== sample q [solved] ===") == 1
+    else:
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        assert "cache entries: 4" in capsys.readouterr().out
+
+
 def test_trace_unknown_sample(tmp_path, fixture_db, capsys):
     config = write_config(tmp_path, ask_scripts("SELECT 1"))
     trace_file = tmp_path / "trace.jsonl"
@@ -672,3 +693,141 @@ def test_cache_stats_and_clear(tmp_path, fixture_db, capsys):
     capsys.readouterr()
     assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
     assert "cache entries: 0" in capsys.readouterr().out
+
+
+# --- input files: a data error, never a traceback -------------------------------
+
+def run_eval(tmp_path, config, questions, tables, db_root, *flags):
+    return main(["eval", "--config", config, "--questions", questions, "--tables", tables,
+                 "--db-root", db_root, "--parallelism", "1", "--out", str(tmp_path / "out"),
+                 *flags])
+
+
+@pytest.mark.parametrize("which", ["questions", "tables"])
+@pytest.mark.parametrize("content", [b"not json", b"[\xff]", b"\xfe\xff\x00[", b"[" * 3000],
+                         ids=["not-json", "not-utf8", "utf16", "nested-too-deep"])
+def test_an_input_file_that_is_not_utf8_json_exits_2_before_any_model_call(
+        tmp_path, eval_assets, capsys, which, content):
+    questions, tables, db_root, _ = eval_assets
+    bad = tmp_path / f"bad-{which}.json"
+    bad.write_bytes(content)
+    files = {"questions": questions, "tables": tables, which: str(bad)}
+    # no scripted reply: a model call would end the command with stage errors
+    code = run_eval(tmp_path, write_config(tmp_path, {}), files["questions"], files["tables"],
+                    db_root)
+    captured = capsys.readouterr()
+    error, = captured.err.splitlines()
+    assert code == 2 and captured.out == ""
+    assert error.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, problem", [
+    (b"Write SQL.\nSQL for: {question}", "has no '--- user ---' line"),
+    (b"Write SQL.\n--- user ---\nSQL for: {nonsense}", "uses {nonsense}"),
+    (b"Write SQL.\n--- user ---\nSQL for {question} on {schema}", "uses {schema}"),
+    (b"Write SQL.\n--- user ---\nSQL for: \xff{question}", "'utf-8' codec can't decode"),
+])
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_a_template_the_stage_cannot_render_exits_2_before_any_model_call(
+        tmp_path, eval_assets, fixture_db, capsys, content, problem, command):
+    questions, tables, db_root, _ = eval_assets
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "sql.txt").write_bytes(content)
+    trace = tmp_path / "trace.jsonl"
+    flags = ["--templates-dir", str(templates), "--trace-file", str(trace)]
+    config = write_config(tmp_path, {})  # a model call would end in stage errors
+    if command == "ask":
+        code = main(["ask", "--config", config, "--db-file", fixture_db, "--question", "q",
+                     *flags])
+    else:
+        code = run_eval(tmp_path, config, questions, tables, db_root, *flags)
+    captured = capsys.readouterr()
+    error, = captured.err.splitlines()
+    assert code == 2 and captured.out == ""
+    assert error.startswith(f"error: template file {templates / 'sql.txt'}: ")
+    assert problem in error
+    assert not trace.exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gold, warning", [
+    ("SELECT count(*) FROM nosuchtable",
+     "no verdict: gold query failure: no such table: nosuchtable"),
+    ("SELECT count(*) FROM singer", "execution accuracy: True"),
+])
+def test_ask_says_why_a_gold_gives_no_verdict(tmp_path, fixture_db, capsys, gold, warning):
+    config = write_config(tmp_path, ask_scripts("SELECT count(id) FROM singer"))
+    code = main(["ask", "--config", config, "--db-file", fixture_db, "--question", "q",
+                 "--gold", gold])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip() == "SELECT count(id) FROM singer"
+    assert captured.err.splitlines() == ["attempts: 1", warning]
+
+
+def write_inputs(directory, db_root):
+    """A valid eval run's input files under ``directory``, and its argv."""
+    directory = Path(directory)
+    (directory / "templates").mkdir()
+    (directory / "templates" / "sql.txt").write_text(
+        "Write SQL.\n--- user ---\nSQL for: {question}\nPlan:\n{plan}", encoding="utf-8")
+    (directory / "questions.json").write_text(json.dumps(
+        [{"question": "How many singers?", "query": "SELECT COUNT(*) FROM singer",
+          "db_id": "music"}]), encoding="utf-8")
+    (directory / "tables.json").write_text(json.dumps([fixture_tables_entry()]),
+                                           encoding="utf-8")
+    (directory / "scripts.json").write_text(
+        json.dumps(ask_scripts("SELECT COUNT(*) FROM singer")), encoding="utf-8")
+    (directory / "config.yaml").write_text(yaml.safe_dump({
+        "backends": {"fixtures": {"type": "scripted",
+                                  "scripts": str(directory / "scripts.json")}},
+        "templates_dir": str(directory / "templates"),
+    }), encoding="utf-8")
+    return ["eval", "--config", str(directory / "config.yaml"),
+            "--questions", str(directory / "questions.json"),
+            "--tables", str(directory / "tables.json"), "--db-root", db_root,
+            "--parallelism", "1", "--out", str(directory / "out")]
+
+
+def test_the_valid_inputs_of_the_input_file_property_run(tmp_path, db_root, capsys):
+    assert main(write_inputs(tmp_path, db_root)) == 0
+    assert "execution accuracy:  100.00%" in capsys.readouterr().out
+
+
+_INPUT_FILES = ["questions.json", "tables.json", "config.yaml", "scripts.json",
+                "templates/sql.txt"]
+_NEAR_MISSES = [
+    b"", b"null", b"0", b"[]", b"[{}]", b'[1, [], "q"]', b'{"question": "q"}', b"[" * 3000,
+    b"\xef\xbb\xbf[]", b"\xff\xfe[\x00]\x00", b'["sql"]', b'{"sql": "SELECT 1"}',
+    b"{'sql': []}", b'[{"question": "q", "query": "SELECT 1", "db_id": ["music"]}]',
+    b'[{"db_id": "music", "table_names_original": "singer"}]',
+    b"backends: {a: 1", b"backends: []", b"pipeline: {timeout: soon}", b"- [" * 5000,
+    b"--- user ---\n{schema}", b"SQL for: {question}", b"--- user ---\n{question} \xff",
+    json.dumps([dict(fixture_tables_entry(), db_id=["music"])]).encode(),
+]
+
+
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(_INPUT_FILES),
+       content=st.binary(max_size=48) | st.sampled_from(_NEAR_MISSES))
+def test_no_input_file_crashes_a_command(db_root, capsys, caplog, monkeypatch, name, content):
+    """Whatever one input file holds, eval gives one error: line and exit 1
+    or 2, and scores no sample: a remote backend, the default when the
+    config file names none, finds no API key at its first call."""
+    if name == "scripts.json":  # a mapping or null is a script: it runs into stage errors
+        try:
+            assume(not isinstance(json.loads(content), (dict, type(None))))
+        except (ValueError, RecursionError):
+            pass
+    monkeypatch.delenv("NL2SQL_API_KEY", raising=False)
+    with tempfile.TemporaryDirectory() as directory:
+        argv = write_inputs(directory, db_root)
+        Path(directory, name).write_bytes(content)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (1, 2), captured
+        error, = captured.err.splitlines()
+        assert error.startswith("error: ")
+        assert captured.out == "" and not Path(directory, "out").exists()
+    assert "crashed" not in caplog.text

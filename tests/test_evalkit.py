@@ -978,6 +978,23 @@ def test_resume_keeps_one_trace_per_sample(dataset, tmp_path):
     assert records[2]["status"] == "solved"
 
 
+def test_a_query_that_ran_before_a_reply_without_sql_is_valid(tmp_path, fixture_tables_file,
+                                                             db_root):
+    """The row is the last attempt that had SQL: a wrong query that ran is
+    valid SQL, though every round after it replied without SQL."""
+    question, gold = DATASET[0]
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps([{"question": question, "query": gold, "db_id": "music"}]))
+    samples, schemas, db_paths = load_dataset(str(path), fixture_tables_file, db_root)
+    wrong = "SELECT name FROM singer"
+    report = evaluate(samples, schemas, db_paths, PipelineConfig(),
+                      question_keyed_gateway({question: wrong}, {question: "I cannot."}),
+                      parallelism=1)
+    row, = report.rows
+    assert (row.final_sql, row.valid, row.ea, row.attempts) == (wrong, True, False, 3)
+    assert report.aggregates["valid_sql_rate"] == 100.0
+
+
 def test_lone_surrogate_in_reply_yields_a_row(tmp_path, fixture_tables_file, db_root,
                                                caplog):
     question, gold = DATASET[0]

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from nl2sql import pipeline
-from nl2sql.execution import ExecutionOutcome, canonical_sql, execute
+from nl2sql.execution import ExecutionOutcome, SqlQuery, canonical_sql, execute
 from nl2sql.gateway import ChatResponse
 from nl2sql.jsonl import AppendLog
 from nl2sql.pipeline import (
@@ -321,29 +321,32 @@ def test_a_gold_that_did_not_succeed_gives_no_verdict_and_starts_no_round(
     ExecutionOutcome.failure("missing_entity", "no such column: nope"),
     ExecutionOutcome.timeout(),
 ])
-@pytest.mark.parametrize("gold", [False, True])
-def test_a_waiter_on_a_failed_run_runs_a_candidate_again_and_takes_the_gold(failed, gold):
+def test_a_waiter_on_a_failed_run_runs_a_candidate_again_and_takes_the_gold(failed,
+                                                                          monkeypatch):
     memo = pipeline.OutcomeMemo("select nope from singer")
     memo._outcomes._cond = cond = WaitCountingCondition()
     running, release = threading.Event(), threading.Event()
     fixed = ExecutionOutcome.success([(6,)], 1)
+    query = SqlQuery("select nope from singer")
     got, runs = {}, []
 
-    def first_run():
+    def run(connection, query, timeout=30.0):
+        runs.append(threading.current_thread().name)
+        if len(runs) > 1:
+            return fixed
         running.set()
         if not release.wait(timeout=30):
             raise AssertionError("not released")
         return failed
 
-    def first():
-        got["first"] = memo.outcome("select nope from singer", first_run, gold=gold)
+    def outcome(name):
+        got[name] = memo.execute(None, query, "select nope from singer", 30.0)
 
-    thread = threading.Thread(target=first)
+    monkeypatch.setattr(pipeline, "execute", run)
+    thread = threading.Thread(target=outcome, args=("first",), name="first")
     thread.start()
     assert running.wait(timeout=30)
-    waiter = threading.Thread(target=lambda: got.setdefault(
-        "waiter", memo.outcome("select nope from singer",
-                               lambda: runs.append(1) or fixed, gold=gold)))
+    waiter = threading.Thread(target=outcome, args=("waiter",), name="waiter")
     waiter.start()
     assert cond.reached(1)  # the waiter found the form running
     release.set()
@@ -351,11 +354,69 @@ def test_a_waiter_on_a_failed_run_runs_a_candidate_again_and_takes_the_gold(fail
         t.join(timeout=30)
         assert not t.is_alive()
     assert got["first"] is failed
-    if gold and failed.status == "failure":  # a gold's engine failure is kept
-        assert runs == [] and got["waiter"] is failed
-    else:  # a candidate's failure or a gold's timeout is not: the waiter runs it
-        assert runs == [1] and got["waiter"] is fixed
-        assert memo.outcome("select nope from singer", lambda: None, gold=gold) is fixed
+    # the memo keeps only successes: the waiter runs the query itself
+    assert runs == ["first", "waiter"] and got["waiter"] is fixed
+    assert memo.execute(None, query, "select nope from singer", 30.0) is fixed
+    assert runs == ["first", "waiter"]
+
+
+def test_a_failed_gold_runs_again_for_the_groups_next_sample(music_schema, fixture_db,
+                                                            monkeypatch):
+    """The memo keeps only successes, the gold's too: the group's next
+    sample runs a gold that failed again, and neither sample is scored."""
+    gold, candidate = "SELECT count(*) FROM nosuchtable", "SELECT count(id) FROM singer"
+    calls = []
+
+    def counted(connection, query, timeout=30.0):
+        calls.append(query.text)
+        return execute(connection, query, timeout=timeout)
+
+    monkeypatch.setattr(pipeline, "execute", counted)
+    gateway = scripted_gateway([candidate, candidate])
+    memo = pipeline.OutcomeMemo(canonical_sql(gold))
+    config = PipelineConfig(max_correction_attempts=0)
+    results = [run_pipeline_once(QUESTION, music_schema, fixture_db, config, gateway,
+                                 gold_query=gold, memo=memo) for _ in range(2)]
+    assert calls == [gold, candidate, gold]  # the candidate's success is kept
+    assert [r.ea for r in results] == [None, None]
+
+
+@pytest.mark.parametrize("gold, injected, warning", [
+    ("SELECT count(*) FROM nosuchtable", None,
+     "no verdict: gold query failure: no such table: nosuchtable"),
+    (GOLD, ExecutionOutcome.timeout(),
+     "no verdict: gold query timeout: query execution timed out"),
+])
+def test_a_gold_that_did_not_succeed_is_named_in_a_trace_warning(
+        music_schema, fixture_db, monkeypatch, gold, injected, warning):
+    def gold_fails(connection, query, timeout=30.0):
+        if injected and query.text == gold:
+            return injected
+        return execute(connection, query, timeout=timeout)
+
+    monkeypatch.setattr(pipeline, "execute", gold_fails)
+    gateway = scripted_gateway(["SELECT count(id) FROM singer"])
+    result = run_pipeline_once(QUESTION, music_schema, fixture_db, PipelineConfig(), gateway,
+                               gold_query=gold)
+    assert result.ea is None
+    assert result.trace.warnings == [warning]
+
+
+@pytest.mark.parametrize("gold", [GOLD, None])
+def test_the_answer_is_the_last_attempt_that_had_sql(music_schema, fixture_db, gold):
+    """A round whose reply holds no SQL leaves the attempt before it as the
+    answer: its query with its own outcome and verdict."""
+    wrong = "SELECT name FROM singer" if gold else "SELECT namee FROM singer"
+    gateway = scripted_gateway([wrong], correction_sql_responses=["I cannot fix that."])
+    result = run_pipeline_once(QUESTION, music_schema, fixture_db,
+                               PipelineConfig(max_correction_attempts=1), gateway,
+                               gold_query=gold)
+    assert [a.status for a in result.trace.attempts][1:] == ["sanitize_error"]
+    assert result.final_sql.text == wrong
+    assert result.outcome.status == result.trace.attempts[0].status
+    assert result.outcome.status == ("success" if gold else "failure")
+    assert result.ea is (False if gold else None)
+    assert result.trace.status == "exhausted"
 
 
 def test_stage_records_match_gateway_calls(music_schema, fixture_db):

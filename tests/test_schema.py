@@ -110,6 +110,16 @@ def test_load_tables_json_rejects_fewer_column_types_than_columns(tmp_path,
         load_tables_json(str(path))
 
 
+@pytest.mark.parametrize("db_id", [["music"], {"music": 1}])
+def test_load_tables_json_refuses_a_db_id_that_is_not_text(tmp_path, db_id):
+    """A db_id that cannot key the schema index is a format error, not a
+    TypeError from the index."""
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([dict(fixture_tables_entry(), db_id=db_id)]))
+    with pytest.raises(SchemaFormatError, match="malformed entry 0: "):
+        load_tables_json(str(path))
+
+
 def test_load_tables_json_keeps_a_schema_error_as_is(tmp_path):
     entry = fixture_tables_entry()
     _set_table_name(entry, "SINGER")  # the same name as table 1
