@@ -6,13 +6,12 @@ recorder. Each agent performs at most one format re-ask (two model calls
 per stage invocation).
 """
 
+import contextlib
 import json
 import os
 import re
 import sqlite3
-import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -192,32 +191,17 @@ def structured_payload(text: str):
     raise ExtractionError("no balanced JSON payload found")
 
 
-class _ExplainDatabase:
-    """An empty in-memory database to EXPLAIN plan steps against. Each
-    thread has its own (``_explain``); it is closed when its thread ends."""
-
-    def __init__(self):
-        # closed by the finalizer, which may run on another thread
-        self.connection = sqlite3.connect(":memory:", check_same_thread=False)
-        weakref.finalize(self, self.connection.close)
-
-
-_explain = threading.local()
-
-
 def looks_like_sql_statement(step: str) -> bool:
     """Permissive check whether a plan step is itself a complete SQL
     statement: it must start with a statement keyword and parse against an
-    empty database (missing tables/columns still count as parsing)."""
+    empty in-memory database, opened and closed for the check (missing
+    tables/columns still count as parsing)."""
     stripped = _STEP_MARKER.sub("", step).strip().rstrip(";")
     if not _STATEMENT_KEYWORD.match(stripped):
         return False
     try:
-        database = _explain.database
-    except AttributeError:
-        database = _explain.database = _ExplainDatabase()
-    try:
-        database.connection.execute("EXPLAIN " + stripped).close()
+        with contextlib.closing(sqlite3.connect(":memory:")) as database:
+            database.execute("EXPLAIN " + stripped).close()
         return True
     except sqlite3.OperationalError as exc:
         return bool(_NO_SUCH.search(str(exc)))

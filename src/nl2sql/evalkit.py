@@ -68,7 +68,9 @@ def load_dataset(questions_file, tables_file, db_root, offset=0, limit=None):
 
     Samples preserve file order; [offset, limit] selects a mini-batch.
     Every question and gold query must be non-blank text, and every
-    selected sample's db_id must resolve to both a schema and a database file.
+    selected sample's db_id must resolve to both a schema and a database
+    file that SQLite can read (``execution.connect_readonly``, once per
+    database); otherwise DatasetError is raised before any model call.
     """
     from .schema import load_tables_json
 
@@ -115,6 +117,10 @@ def load_dataset(questions_file, tables_file, db_root, offset=0, limit=None):
                 raise DatasetError(
                     f"sample {sample.index}: database file missing: {path}"
                 )
+            try:
+                connect_readonly(path).close()
+            except OSError as exc:
+                raise DatasetError(f"sample {sample.index}: {exc}") from exc
             db_paths[sample.db_id] = path
     return window, schemas, db_paths
 
@@ -423,14 +429,10 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     return RunReport(rows=rows, aggregates=compute_metrics(rows))
 
 
-# A row's fields are scalars, so with the separators indent=2 puts inside an
-# object nested two deep the C encoder writes a row as indent=2 does.
-_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
-                                separators=(",\n      ", ": "))
-
-
 def write_report(report: RunReport, out_dir) -> dict:
-    """Emit report.json (full fidelity), per_sample.csv, and summary.txt.
+    """Emit report.json (full fidelity: the aggregates and every row, as
+    one ``json.dumps`` with ``indent=2`` and sorted keys), per_sample.csv,
+    and summary.txt.
 
     Deterministic: identical reports produce byte-identical files.
     """
@@ -444,12 +446,9 @@ def write_report(report: RunReport, out_dir) -> dict:
     # A lone surrogate, which no encoding can write, goes out as its \uXXXX
     # escape: in report.json that is the JSON escape of the same character.
     with open(paths["json"], "w", encoding="utf-8", errors="backslashreplace") as fh:
-        # json.dumps({"aggregates": ..., "rows": [vars(r), ...]}, indent=2, ...)
-        aggregates = json.dumps(report.aggregates, indent=2, sort_keys=True, ensure_ascii=False)
-        rows = ",\n".join(["    {\n      " + _ROW_ENCODER.encode(vars(r))[1:-1] + "\n    }"
-                           for r in report.rows])
-        fh.write('{\n  "aggregates": ' + aggregates.replace("\n", "\n  ") + ',\n  "rows": '
-                 + (f"[\n{rows}\n  ]" if rows else "[]") + "\n}\n")
+        fh.write(json.dumps({"aggregates": report.aggregates,
+                             "rows": [vars(r) for r in report.rows]},
+                            indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -155,32 +155,12 @@ def _statement_start(sql: str):
     return None
 
 
-def _scan_unfenced_start(text: str):
-    """Where the first SELECT, WITH or VALUES of unfenced ``text`` outside
-    comments starts; None when there is none. Unfenced, SQL comes with
-    prose, whose apostrophes are not quotes."""
-    for match in _UNFENCED_START.finditer(text):
-        if match.lastgroup == "start":
-            return match.start()
-    return None
-
-
-def _unfenced_start(text: str):
-    """``_scan_unfenced_start(text)``, with the comment-aware scan run only
-    when a ``--`` or ``/*`` comes before the first keyword: a comment that
-    _UNFENCED_START matches starts with one of them."""
-    match = _STATEMENT_START.search(text)
-    if match is None:
-        return None
-    start = match.start()
-    if text.find("--", 0, start) < 0 and text.find("/*", 0, start) < 0:
-        return start
-    return _scan_unfenced_start(text)
-
-
 def sanitize(raw: str) -> SqlQuery:
     """Strip code fences, surrounding prose, and trailing semicolons; keep
-    the first statement. Raises SanitizeError when no SQL is present."""
+    the first statement. It comes from the first fenced block that has one,
+    else from the whole reply, where it starts at the first SELECT, WITH or
+    VALUES outside comments (prose around unfenced SQL has apostrophes that
+    are not quotes). Raises SanitizeError when no SQL is present."""
     if not raw or not raw.strip():
         raise SanitizeError("empty response")
     text = raw
@@ -192,7 +172,8 @@ def sanitize(raw: str) -> SqlQuery:
             text = block
             break
     if start is None:
-        start = _unfenced_start(text)
+        start = next((match.start() for match in _UNFENCED_START.finditer(text)
+                      if match.lastgroup == "start"), None)
         if start is None:
             raise SanitizeError(f"no SQL statement found in: {raw.strip()[:120]!r}")
     text = text[start:]
@@ -254,13 +235,19 @@ def _classify_error(message: str) -> str:
 
 def connect_readonly(db_file) -> sqlite3.Connection:
     """A connection to ``db_file`` that cannot write: opened with the
-    ``mode=ro`` URI and set ``query_only``. Raises OSError when the file
-    cannot be opened."""
+    ``mode=ro`` URI and set ``query_only``, once SQLite has read the file's
+    header as a first query would. Raises OSError when the file cannot be
+    opened or is not a database."""
     try:
         conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
-        conn.execute("PRAGMA query_only=1")
     except sqlite3.Error as exc:
         raise OSError(f"cannot open database {db_file}: {exc}") from exc
+    try:
+        conn.execute("PRAGMA schema_version").close()
+        conn.execute("PRAGMA query_only=1")
+    except sqlite3.Error as exc:
+        conn.close()
+        raise OSError(f"cannot read database {db_file}: {exc}") from exc
     return conn
 
 

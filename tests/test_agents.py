@@ -1,5 +1,7 @@
 import json
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.strategies as st
 import pytest
@@ -238,7 +240,7 @@ def test_render_equals_the_regex_substitution(user_template, bindings):
 
 # --- SQL-in-plan detection ------------------------------------------------------
 
-@pytest.mark.parametrize("step,expected", [
+_STATEMENT_STEPS = [
     ("SELECT name FROM singer", True),
     ("1. SELECT name FROM singer;", True),
     ("Identify the singer table and its name column", False),
@@ -248,9 +250,27 @@ def test_render_equals_the_regex_substitution(user_template, bindings):
     ("Select the relevant columns for the answer", False),
     ("SELECT '\ud800'", False),  # a lone surrogate: no text SQLite can read
     ("2. SELECT name FROM singer WHERE name = 'x\udfff'", False),
-])
+]
+
+
+@pytest.mark.parametrize("step,expected", _STATEMENT_STEPS)
 def test_looks_like_sql_statement(step, expected):
     assert looks_like_sql_statement(step) is expected
+
+
+def test_looks_like_sql_statement_from_several_threads_at_once():
+    # Each check opens and closes its own database, so threads share none
+    # and leave none open (CI runs this with ResourceWarning as an error).
+    steps = [step for step, _ in _STATEMENT_STEPS] * 20
+    barrier = threading.Barrier(4, timeout=30)
+
+    def check():
+        barrier.wait()
+        return [looks_like_sql_statement(step) for step in steps]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = [future.result(timeout=60) for future in [pool.submit(check) for _ in range(4)]]
+    assert results == [[expected for _, expected in _STATEMENT_STEPS] * 20] * 4
 
 
 # --- agent runs against scripted fixtures --------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from nl2sql import cli, evalkit
 from nl2sql.cli import main
-from nl2sql.gateway import RemoteBackend, read_replay_log
+from nl2sql.gateway import GatewayError, RemoteBackend, read_replay_log
 
 from conftest import FULL_LINK_JSON, PLAN_JSON, CORRECTION_PLAN_JSON, fixture_tables_entry
 
@@ -151,6 +151,35 @@ def test_ask_missing_db_is_data_error(tmp_path, capsys):
         "--question", "q",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_a_database_file_sqlite_cannot_read_exits_2_before_any_model_call(
+        tmp_path, eval_assets, capsys, monkeypatch, command):
+    questions, tables, _, config = eval_assets
+    db_file = tmp_path / "dbs" / "music" / "music.sqlite"
+    db_file.parent.mkdir(parents=True)
+    db_file.write_bytes(b"not a database " * 1000)
+    calls = []
+
+    def complete_for_role(self, role, messages):
+        calls.append(role)
+        raise GatewayError("no model call is expected")
+
+    monkeypatch.setattr(cli.Gateway, "complete_for_role", complete_for_role)
+    if command == "ask":
+        argv = ["ask", "--db-file", str(db_file), "--tables", tables, "--question", "q"]
+    else:
+        argv = ["eval", "--questions", questions, "--tables", tables,
+                "--db-root", str(tmp_path / "dbs"), "--parallelism", "1",
+                "--out", str(tmp_path / "out")]
+    code = main(argv + ["--config", config])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (2, "", [])
+    error, = captured.err.splitlines()
+    assert error.startswith("error: ") and error.endswith(
+        f"cannot read database {db_file}: file is not a database")
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -160,6 +160,18 @@ def test_load_dataset_missing_db_file(tmp_path, questions_file, fixture_tables_f
         load_dataset(questions_file, fixture_tables_file, tmp_path)
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_bytes(b"not a database " * 1000),
+    os.mkdir,  # a directory where the file should be
+], ids=["text-bytes", "directory"])
+def test_load_dataset_refuses_a_database_file_sqlite_cannot_read(
+        tmp_path, questions_file, fixture_tables_file, make):
+    (tmp_path / "music").mkdir()
+    make(tmp_path / "music" / "music.sqlite")
+    with pytest.raises(DatasetError, match=r"^sample 0: cannot (read|open) database "):
+        load_dataset(questions_file, fixture_tables_file, tmp_path)
+
+
 # --- metrics ---------------------------------------------------------------------
 
 def make_rows(true_count, total):

@@ -4,7 +4,6 @@ import sqlite3
 import threading
 import time
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -108,32 +107,6 @@ def test_unfenced_reply_skips_comments_before_its_statement(raw):
     assert sanitize(raw).text == "SELECT name FROM singer"
 
 
-# Unfenced text made of the pieces the statement-start scan reads: keywords
-# (one inside a longer word), comment openers and closers, apostrophes and
-# line breaks.
-_unfenced_text = st.lists(st.sampled_from([
-    "SELECT", "with", "Values", "selected", "name", "--", "-", "/*", "*/", "*", "/",
-    "'", "\n", " ", "\t", ";", "x",
-])).map("".join)
-
-
-def _sanitized(text):
-    """``sanitize(text)``'s text, or the message of the SanitizeError it raises."""
-    try:
-        return sanitize(text).text
-    except SanitizeError as exc:
-        return ("SanitizeError", str(exc))
-
-
-@given(_unfenced_text)
-@settings(max_examples=500)
-def test_unfenced_start_fast_path_equals_the_comment_aware_scan(text):
-    assert execution._unfenced_start(text) == execution._scan_unfenced_start(text)
-    fast = _sanitized(text)
-    with mock.patch.object(execution, "_unfenced_start", execution._scan_unfenced_start):
-        assert _sanitized(text) == fast
-
-
 def test_sanitize_empty_input():
     with pytest.raises(SanitizeError):
         sanitize("")
@@ -224,6 +197,13 @@ def test_execute_write_via_cte_fails_readonly(guarded_db):
 def test_execute_unreadable_file(tmp_path):
     with pytest.raises(OSError):
         connect_readonly(tmp_path / "missing" / "no.sqlite")
+
+
+def test_connect_readonly_refuses_a_file_that_is_not_a_database(tmp_path):
+    path = tmp_path / "notes.sqlite"
+    path.write_bytes(b"not a database " * 1000)
+    with pytest.raises(OSError, match=r"^cannot read database .*: file is not a database$"):
+        connect_readonly(path)
 
 
 def test_execute_lone_surrogate_is_a_failure(guarded_db):
@@ -914,7 +894,8 @@ def test_a_database_is_larger_than_its_page_cache_by_bytes(fixture_db, cache_siz
 def test_a_file_that_is_not_a_database_is_not_larger_than_its_page_cache(tmp_path):
     path = tmp_path / "notes.sqlite"
     path.write_bytes(b"not a database " * 1000)
-    with contextlib.closing(connect_readonly(path)) as connection:
+    # connect_readonly refuses such a file, so connect without reading it
+    with contextlib.closing(sqlite3.connect(f"file:{path}?mode=ro", uri=True)) as connection:
         assert execution.larger_than_cache(connection) is False
 
 
