@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
 from . import jsonl
-from .execution import canonical_sql, connect_readonly, larger_than_cache
+from .execution import canonical_sql, connect_readonly
 from .gateway import AuthError
 from .pipeline import OutcomeMemo, append_trace, gold_sql, run_pipeline
 
@@ -266,32 +266,6 @@ class _SplitRuns:
                 run.clear()
 
 
-class _Group:
-    """The samples of one (database, gold) group that a run has to score,
-    and their shared OutcomeMemo from the start of the first of them to the
-    end of the last."""
-
-    def __init__(self, gold_key, size):
-        self.gold_key = gold_key
-        self._left = size  # samples not ended yet
-        self._memo = None
-        self._lock = threading.Lock()
-
-    def start(self, by_program) -> OutcomeMemo:
-        """The group's memo, ``OutcomeMemo(gold_key, by_program)`` when made."""
-        with self._lock:
-            if self._memo is None:
-                self._memo = OutcomeMemo(self.gold_key, by_program)
-            return self._memo
-
-    def end(self) -> None:
-        """One sample ended; the memo goes with the group's last one."""
-        with self._lock:
-            self._left -= 1
-            if not self._left:
-                self._memo = None
-
-
 def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
              checkpoint_path=None, trace_path=None, prices=None) -> RunReport:
     """Run the pipeline over a sample batch and report metrics.
@@ -300,12 +274,12 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     form a group; two gold queries are the same when they have one
     ``canonical_sql`` form as run_pipeline executes them. Each group has one
     OutcomeMemo (see run_pipeline), shared by every worker that runs one of
-    its samples: made when the group's first sample starts and dropped when
-    its last sample ends. So the gold query and each distinct candidate
-    that succeeds are executed once per group, where texts with one
-    ``canonical_sql`` form are one query, and a worker that needs a query
-    another worker is running waits for its outcome. The diagnostic
-    ``exact_match`` compares the same forms.
+    its samples: made with the schedule and freed with the group's last
+    sample. So the gold query and each distinct candidate that succeeds
+    are executed once per group, where texts with one ``canonical_sql``
+    form are one query, and a worker that needs a query another worker is
+    running waits for its outcome. The diagnostic ``exact_match`` compares
+    the same forms.
 
     Samples are put in database order (the order of each database's first
     sample), then in order of their group's first sample, then in batch
@@ -315,17 +289,15 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
     time from the far end of the longest run left until that one is empty
     too. With two workers these are the two ends of one list, so the
     workers share the batch's last group instead of one running it alone.
-    At most ``parallelism`` memos are alive at once, plus one for each
-    group that the split cuts in two.
+    At most ``parallelism`` memos that have run a query are alive at once,
+    plus one for each group that the split cuts in two.
 
     A worker runs its queries on one read-only connection while its next
     sample is on the same database, and closes it before it opens one on
     another database or when it runs out of samples, so at most
-    ``parallelism`` connections are open; a memo it makes matches by program
-    when ``execution.larger_than_cache`` holds for the connection. The
-    database files must not change during the run. When a database cannot
-    be opened, the sample is logged and scored as a crash, and the worker's
-    next sample tries again.
+    ``parallelism`` connections are open. The database files must not
+    change during the run. When a database cannot be opened, the sample is
+    logged and scored as a crash, and the worker's next sample tries again.
 
     Resumable: rows already in the checkpoint file are not re-run, so an
     interrupted batch picks up where it stopped. When a worker leaves a
@@ -344,13 +316,13 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
         if sample.index not in done:
             by_db.setdefault(sample.db_id, {}).setdefault(
                 _gold_key(sample.gold_query), []).append(sample)
-    pending = []
+    pending = []  # (the group's memo, sample)
     for groups in by_db.values():
         for key, group in groups.items():
-            shared = _Group(key, len(group))
-            pending += ((shared, sample) for sample in group)
+            pending += zip([OutcomeMemo(key)] * len(group), group)
     workers = max(1, min(parallelism, len(pending)))
     schedule = _SplitRuns(pending, workers)
+    del pending  # a memo goes once no run and no worker holds one of its samples
 
     checkpoint = jsonl.AppendLog(checkpoint_path) if checkpoint_path else None
     traces = jsonl.AppendLog(trace_path) if trace_path else None
@@ -371,17 +343,16 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
         """Runs ``worker``'s samples until none is left; returns their rows."""
         rows = []
         ran = []  # (row, result) of the samples run of the current group
-        current = db_id = connection = None
+        memo = db_id = connection = None
         try:
             while True:
                 taken = schedule.take(worker)
-                group, sample = taken or (None, None)
-                if group is not current and ran:
+                if ran and (taken is None or taken[0] is not memo):
                     rows += log_group(ran)
                     ran = []
                 if taken is None:
                     return rows
-                current = group
+                memo, sample = taken
                 if sample.db_id != db_id:
                     if connection is not None:
                         connection.close()
@@ -390,15 +361,10 @@ def evaluate(samples, schemas, db_paths, config, gateway, parallelism=4,
                         connection = connect_readonly(db_paths[sample.db_id])
                     except OSError:
                         ran.append((_crash_row(sample), None))
-                        group.end()
                         continue
                     db_id = sample.db_id
-                    large = larger_than_cache(connection)
-                try:
-                    ran.append(_run_one(sample, schemas[db_id], connection, config,
-                                        gateway, prices, group.start(large)))
-                finally:
-                    group.end()
+                ran.append(_run_one(sample, schemas[db_id], connection, config,
+                                    gateway, prices, memo))
         except BaseException:
             schedule.clear()  # the other workers stop after their current sample
             raise

@@ -11,6 +11,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import queue
 import random
@@ -171,13 +172,20 @@ def replay_log_path(cache_dir) -> str:
     return os.path.join(str(cache_dir), "replay.jsonl")
 
 
+def _token_count(value) -> int:
+    """``value`` as a count of tokens; raises TypeError unless it is a whole
+    number >= 0 (a boolean, a fraction or an infinity is not)."""
+    if (type(value) is int or isinstance(value, float) and value.is_integer()) and value >= 0:
+        return int(value)
+    raise TypeError(f"token count {value!r} is not a whole number >= 0")
+
+
 def _replay_record(value) -> dict:
     """``value`` when it is a replay record; raises TypeError otherwise."""
-    if not (isinstance(value["key"], str)
-            and isinstance(value["content"], str)
-            and isinstance(value["prompt_tokens"], int)
-            and isinstance(value["completion_tokens"], int)):
+    if not (isinstance(value["key"], str) and isinstance(value["content"], str)):
         raise TypeError("not a replay record")
+    for name in ("prompt_tokens", "completion_tokens"):
+        value[name] = _token_count(value[name])
     return value
 
 
@@ -300,6 +308,7 @@ class RemoteBackend:
 
     MAX_ATTEMPTS = 5
     BACKOFF_BASE = 1.0
+    RETRY_AFTER_MAX = 60.0  # the longest Retry-After honoured, in seconds
     JITTER = 0.2
 
     def __init__(self, endpoint, api_key_env="NL2SQL_API_KEY",
@@ -349,12 +358,14 @@ class RemoteBackend:
             if resp.status_code in (401, 403):
                 raise AuthError(f"authentication failed: HTTP {resp.status_code}")
             if resp.status_code == 429:
-                retry_after = None
                 try:
                     retry_after = float(resp.headers.get("Retry-After", ""))
                 except (TypeError, ValueError):
-                    pass
-                last_error = RateLimitError("rate limited", retry_after=retry_after)
+                    retry_after = math.nan
+                # a Retry-After that is not a finite number is ignored
+                last_error = RateLimitError("rate limited", retry_after=(
+                    min(max(retry_after, 0.0), self.RETRY_AFTER_MAX)
+                    if math.isfinite(retry_after) else None))
                 continue
             if resp.status_code >= 500:
                 last_error = TransportError(f"HTTP {resp.status_code}")
@@ -365,8 +376,8 @@ class RemoteBackend:
                 body = resp.json()
                 content = body["choices"][0]["message"]["content"]
                 usage = body.get("usage") or {}
-                prompt_tokens = int(usage.get("prompt_tokens", 0))
-                completion_tokens = int(usage.get("completion_tokens", 0))
+                prompt_tokens = _token_count(usage.get("prompt_tokens", 0))
+                completion_tokens = _token_count(usage.get("completion_tokens", 0))
             except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise GatewayError(
                     f"malformed reply: {type(exc).__name__}: {exc}"

@@ -7,7 +7,6 @@ samples of one gold group, an OutcomeMemo.
 """
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 
 from . import agents, jsonl
@@ -112,42 +111,37 @@ def _succeeded(outcome):
 
 class OutcomeMemo:
     """ExecutionOutcomes of one gold group's queries on one database file,
-    by ``canonical_sql`` form, shared by the run_pipeline calls of the
-    group's samples on any thread and any connection to that file.
+    shared by the run_pipeline calls of the group's samples on any thread
+    and any connection to that file. ``gold_form`` is the ``canonical_sql``
+    form of the gold query as run_pipeline executes it (``gold_sql``).
 
-    ``gold_form`` is the ``canonical_sql`` form of the gold query as
-    run_pipeline executes it (``gold_sql``). The memo keeps only successes,
-    the gold's as well as a candidate's. A form is run by one caller at a
-    time (``gateway.SingleFlight``): a caller that finds its form running
-    waits for that run to end, then takes its outcome if it is a success
-    and otherwise runs the query itself.
-
-    With ``by_program`` set, as for a database larger than its page cache
-    (``execution.larger_than_cache``), a query that misses by form is
-    compiled before it runs (``execution.program``): a success kept for its
-    program serves it, and a success it runs is kept by its program too.
+    The memo keeps only successes, the gold's as well as a candidate's, by
+    ``canonical_sql`` form and, when its database is larger than the page
+    cache (``execution.larger_than_cache``, read at its first query), by
+    compiled program too (``execution.program``, compiled on a miss by
+    form). Each is a ``gateway.SingleFlight`` key: a caller that finds its
+    form or program running waits for that run, takes its outcome if it is
+    a success and otherwise runs the query itself.
     """
 
-    def __init__(self, gold_form=None, by_program=False):
+    def __init__(self, gold_form=None):
         self.gold_form = gold_form
         self._outcomes = SingleFlight({})  # form -> success
-        self._lock = threading.Lock()
-        self._programs = {} if by_program else None  # compiled program -> success
+        self._programs = SingleFlight({})  # compiled program -> success
+        self._large = None  # larger than its page cache? read at the first query
 
     def execute(self, connection, query, form, timeout):
         """A success kept for ``form`` or its program, else the outcome of executing ``query``."""
+        def run():
+            return execute(connection, query, timeout=timeout)
+
         def make():
-            compiled = None if self._programs is None else program(connection, query)
-            if compiled is not None:
-                with self._lock:
-                    served = self._programs.get(compiled)
-                if served is not None:
-                    return served
-            outcome = execute(connection, query, timeout=timeout)
-            if compiled is not None and _succeeded(outcome):
-                with self._lock:
-                    self._programs[compiled] = outcome
-            return outcome
+            if self._large is None:
+                self._large = larger_than_cache(connection)
+            compiled = program(connection, query) if self._large else None
+            if compiled is None:
+                return run()
+            return self._programs.get(compiled, run, keep=_succeeded)
 
         return self._outcomes.get(form, make, keep=_succeeded)
 
@@ -210,25 +204,25 @@ def run_pipeline(question, schema, connection, config: PipelineConfig, gateway,
     the attempt.
 
     On a database larger than the connection's page cache
-    (``execution.larger_than_cache``, decided for a memo made here and when
-    ``evaluate`` makes one), a success also serves a query of another form
-    that compiles to the same program (``execution.program``): table
-    aliases added or dropped, ``AS``, qualified columns, ``SELECT ALL``. A
-    query that misses by form, the gold too, is compiled before it runs; on
-    a smaller database nothing is compiled. This is sound: two texts with
-    one program read the same rows of one database file that does not
-    change during the run, in the same order and with the same column
-    count, whichever connection to that file compiled or ran them. Their
-    column names may differ, but an ExecutionOutcome holds none. So a
-    served outcome is the one executing the text would return.
+    (``execution.larger_than_cache``, read at the memo's first query), a
+    success also serves a query of another form that compiles to the same
+    program (``execution.program``): table aliases added or dropped,
+    ``AS``, qualified columns, ``SELECT ALL``. A query that misses by form,
+    the gold too, is compiled before it runs, and a query whose program
+    another call is running waits for that run; on a smaller database
+    nothing is compiled. This is sound: two texts with one program read the
+    same rows of one database file that does not change during the run, in
+    the same order and with the same column count, whichever connection to
+    that file compiled or ran them. Their column names may differ, but an
+    ExecutionOutcome holds none. So a served outcome is the one executing
+    the text would return.
     """
     taxonomy = default_taxonomy()
     templates = config.templates
     trace = PipelineTrace(sample_id=sample_id or question[:48])
     gold = gold_sql(gold_query) if gold_query else None
     if memo is None:
-        memo = OutcomeMemo(None if gold is None else canonical_sql(gold.text),
-                           larger_than_cache(connection))
+        memo = OutcomeMemo(None if gold is None else canonical_sql(gold.text))
 
     scored = order_sensitive = False
     if gold is not None:

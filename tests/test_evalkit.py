@@ -763,9 +763,9 @@ def compiles(monkeypatch):
 
 @pytest.fixture()
 def over_page_cache(monkeypatch):
-    """Has evaluate take every database for one larger than its page cache,
+    """Has every memo take its database for one larger than its page cache,
     so every memo matches by program."""
-    monkeypatch.setattr(evalkit, "larger_than_cache", lambda connection: True)
+    monkeypatch.setattr(pipeline, "larger_than_cache", lambda connection: True)
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
@@ -782,8 +782,8 @@ def test_candidates_of_their_golds_program_are_served_from_its_run(
     assert compiles["compiled"] > 0
 
 
-def test_program_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path, over_page_cache):
-    # over_page_cache reaches evaluate only: each fresh run compiles nothing
+def test_program_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path, request):
+    # over_page_cache is set after the fresh runs: each of them compiles nothing
     samples, schemas, db_paths = paired
     fresh = {}
     for sample in samples:
@@ -792,6 +792,7 @@ def test_program_hits_record_the_attempts_of_a_fresh_run(paired, tmp_path, over_
                                   gold_query=sample.gold_query,
                                   sample_id=str(sample.index))
         fresh[str(sample.index)] = untimed(asdict(alone.trace))
+    request.getfixturevalue("over_page_cache")
     traces = tmp_path / "traces.jsonl"
     evaluate(samples, schemas, db_paths, PipelineConfig(),
              question_keyed_gateway(PAIRED_SQL_ALL), parallelism=1,
@@ -1301,16 +1302,19 @@ def test_idle_worker_takes_the_unstarted_sample_of_a_running_group(
 def test_memos_live_from_a_groups_first_sample_to_its_last(two_databases, monkeypatch,
                                                            parallelism):
     samples, schemas, db_paths = two_databases
-    live = weakref.WeakSet()
+    live = weakref.WeakSet()  # the memos given to _run_one and not yet freed
     peak = []
+    lock = threading.Lock()
+    run_one = evalkit._run_one
 
-    class Tracked(evalkit.OutcomeMemo):
-        def __init__(self, *args):
-            super().__init__(*args)
-            live.add(self)
-            peak.append(len(live))
+    def tracked(*args):
+        with lock:
+            if args[-1] not in live:
+                live.add(args[-1])
+                peak.append(len(live))
+        return run_one(*args)
 
-    monkeypatch.setattr(evalkit, "OutcomeMemo", Tracked)
+    monkeypatch.setattr(evalkit, "_run_one", tracked)
     report = evaluate(samples, schemas, db_paths, PipelineConfig(),
                       question_keyed_gateway(PAIRED_SQL), parallelism=parallelism)
     assert [r.ea for r in report.rows] == PAIRED_EA * 2

@@ -399,6 +399,60 @@ def test_remote_recovers_after_a_scheduled_transport_fault(monkeypatch, fault, s
         == ("SELECT 2", 10, 5)
 
 
+@pytest.mark.parametrize("retry_after, sleeps", [
+    ("inf", [1.0]),  # not a finite number: ignored
+    ("1e999", [1.0]),
+    ("nan", [1.0]),
+    ("1e300", [60.0]),  # RemoteBackend.RETRY_AFTER_MAX
+    ("-5", [1.0]),  # clamped to 0, below the backoff
+])
+def test_remote_bounds_a_retry_after(monkeypatch, retry_after, sleeps):
+    monkeypatch.setenv("NL2SQL_API_KEY", "k")
+    monkeypatch.setattr("nl2sql.gateway.random.uniform", lambda low, high: 0.0)
+    slept = []
+    session = FakeSession([FakeResponse(429, headers={"Retry-After": retry_after}),
+                           FakeResponse(200, success_body("SELECT 2"))])
+    backend = RemoteBackend("https://api.test", session=session, sleep=slept.append)
+    assert backend.complete(make_request()).content == "SELECT 2"
+    assert slept == sleeps
+
+
+@pytest.mark.parametrize("count", ["1e999", "-7", "true", "2.9", '"10"', "null"])
+def test_remote_usage_count_that_is_not_a_whole_number_is_a_malformed_reply(monkeypatch,
+                                                                             count):
+    monkeypatch.setenv("NL2SQL_API_KEY", "k")
+    reply = ('{"choices": [{"message": {"content": "SELECT 1"}}],'
+             f' "usage": {{"prompt_tokens": {count}, "completion_tokens": 5}}}}')
+    session = FakeSession([NonJsonResponse(reply)])
+    backend = RemoteBackend("https://api.test", session=session, sleep=lambda s: None)
+    with pytest.raises(GatewayError, match="malformed reply"):
+        backend.complete(make_request())
+    assert session.attempts == 1
+
+
+def test_remote_usage_count_of_a_whole_float_is_kept(monkeypatch):
+    monkeypatch.setenv("NL2SQL_API_KEY", "k")
+    session = FakeSession([FakeResponse(200, {
+        "choices": [{"message": {"content": "SELECT 1"}}],
+        "usage": {"prompt_tokens": 10.0, "completion_tokens": 0}})])
+    backend = RemoteBackend("https://api.test", session=session, sleep=lambda s: None)
+    response = backend.complete(make_request())
+    assert (response.prompt_tokens, response.completion_tokens) == (10, 0)
+    assert type(response.prompt_tokens) is int
+
+
+@pytest.mark.parametrize("count", ["1e999", "-7", "true", "2.9"])
+def test_replay_record_with_a_bad_token_count_is_skipped(tmp_path, count):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    line = ('{{"key": "{}", "content": "SELECT 1", "prompt_tokens": {},'
+            ' "completion_tokens": {}}}\n')
+    with open(replay_log_path(cache_dir), "w", encoding="utf-8") as fh:
+        fh.write(line.format("a", count, 2) + line.format("b", 3, count)
+                 + line.format("c", 3, 2))
+    assert list(read_replay_log(cache_dir)) == ["c"]
+
+
 def test_remote_five_faults_in_a_row_raise_the_last(monkeypatch):
     monkeypatch.setenv("NL2SQL_API_KEY", "k")
     monkeypatch.setattr("nl2sql.gateway.random.uniform", lambda low, high: 0.0)

@@ -1,12 +1,21 @@
+import contextlib
 import hashlib
 import json
+import sqlite3
 import threading
 from dataclasses import asdict
 
 import pytest
 
 from nl2sql import pipeline
-from nl2sql.execution import ExecutionOutcome, SqlQuery, canonical_sql, execute
+from nl2sql.execution import (
+    ExecutionOutcome,
+    SqlQuery,
+    canonical_sql,
+    connect_readonly,
+    execute,
+    larger_than_cache,
+)
 from nl2sql.gateway import ChatResponse
 from nl2sql.jsonl import AppendLog
 from nl2sql.pipeline import (
@@ -16,7 +25,12 @@ from nl2sql.pipeline import (
     load_traces,
 )
 
-from conftest import WaitCountingCondition, run_pipeline_once, scripted_gateway
+from conftest import (
+    WaitCountingCondition,
+    build_fixture_db,
+    run_pipeline_once,
+    scripted_gateway,
+)
 
 QUESTION = "How many singers do we have?"
 GOLD = "SELECT COUNT(*) FROM singer"
@@ -340,24 +354,68 @@ def test_a_waiter_on_a_failed_run_runs_a_candidate_again_and_takes_the_gold(fail
         return failed
 
     def outcome(name):
-        got[name] = memo.execute(None, query, "select nope from singer", 30.0)
+        got[name] = memo.execute(connection, query, "select nope from singer", 30.0)
 
     monkeypatch.setattr(pipeline, "execute", run)
-    thread = threading.Thread(target=outcome, args=("first",), name="first")
-    thread.start()
+    with contextlib.closing(sqlite3.connect(":memory:", check_same_thread=False)) \
+            as connection:
+        thread = threading.Thread(target=outcome, args=("first",), name="first")
+        thread.start()
+        assert running.wait(timeout=30)
+        waiter = threading.Thread(target=outcome, args=("waiter",), name="waiter")
+        waiter.start()
+        assert cond.reached(1)  # the waiter found the form running
+        release.set()
+        for t in (thread, waiter):
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert got["first"] is failed
+        # the memo keeps only successes: the waiter runs the query itself
+        assert runs == ["first", "waiter"] and got["waiter"] is fixed
+        assert memo.execute(connection, query, "select nope from singer", 30.0) is fixed
+        assert runs == ["first", "waiter"]
+
+
+def test_two_spellings_of_one_program_arriving_together_run_once(tmp_path, monkeypatch):
+    """On a database larger than its page cache, a spelling that compiles
+    to the program another spelling is running waits for that run and
+    takes its outcome."""
+    path = build_fixture_db(tmp_path / "music.sqlite")
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE filler (pad TEXT)")
+        conn.executemany("INSERT INTO filler VALUES (?)", [("x" * 4000,)] * 700)
+        conn.commit()
+    with contextlib.closing(connect_readonly(path)) as connection:
+        assert larger_than_cache(connection)
+    memo = pipeline.OutcomeMemo(canonical_sql(GOLD))
+    memo._programs._cond = cond = WaitCountingCondition()
+    running, release = threading.Event(), threading.Event()
+    runs, got = [], {}
+
+    def run(connection, query, timeout=30.0):
+        runs.append(query.text)
+        running.set()
+        if not release.wait(timeout=30):
+            raise AssertionError("not released")
+        return execute(connection, query, timeout=timeout)
+
+    def outcome(text):
+        with contextlib.closing(connect_readonly(path)) as connection:
+            got[text] = memo.execute(connection, SqlQuery(text), canonical_sql(text), 30.0)
+
+    monkeypatch.setattr(pipeline, "execute", run)
+    first, second = "select count(*) from singer as s", "SELECT COUNT(*) FROM singer t"
+    threads = [threading.Thread(target=outcome, args=(text,)) for text in (first, second)]
+    threads[0].start()
     assert running.wait(timeout=30)
-    waiter = threading.Thread(target=outcome, args=("waiter",), name="waiter")
-    waiter.start()
-    assert cond.reached(1)  # the waiter found the form running
+    threads[1].start()
+    assert cond.reached(1)  # the second spelling found its program running
     release.set()
-    for t in (thread, waiter):
-        t.join(timeout=30)
-        assert not t.is_alive()
-    assert got["first"] is failed
-    # the memo keeps only successes: the waiter runs the query itself
-    assert runs == ["first", "waiter"] and got["waiter"] is fixed
-    assert memo.execute(None, query, "select nope from singer", 30.0) is fixed
-    assert runs == ["first", "waiter"]
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert runs == [first]
+    assert got[first].status == "success" and got[second] is got[first]
 
 
 def test_a_failed_gold_runs_again_for_the_groups_next_sample(music_schema, fixture_db,
